@@ -22,7 +22,6 @@ from .engine import (
     HOST_SPEC,
     CorruptState,
     DuplicateDetected,
-    EmptyRegion,
     PassTally,
     PhaseEvent,
     Region,
@@ -31,11 +30,11 @@ from .engine import (
     WordSpec,
     WorkCounter,
     compute_hash,
-    find_min,
     node_base,
     partition_idles,
     practice_pass,
     retrieve_sorted,
+    run_pass,
     sort,
     sort_region,
     store_records,
@@ -49,7 +48,6 @@ from .generators import (
     gen_full_universe,
     gen_uniform,
     generate,
-    predict_average_work,
     predict_worst_pass_bound,
 )
 from .oracles import oracle_sort, verify_pass_tally
@@ -62,7 +60,6 @@ __all__ = [
     "CorruptState",
     "DatasetSpec",
     "DuplicateDetected",
-    "EmptyRegion",
     "FAMILIES",
     "FORMATS",
     "HOST_BITS",
@@ -80,7 +77,6 @@ __all__ = [
     "compute_hash",
     "counting_sort",
     "emit_csv",
-    "find_min",
     "gen_adversarial",
     "gen_best_case",
     "gen_full_universe",
@@ -91,10 +87,10 @@ __all__ = [
     "oracle_sort",
     "partition_idles",
     "practice_pass",
-    "predict_average_work",
     "predict_worst_pass_bound",
     "read_list",
     "retrieve_sorted",
+    "run_pass",
     "run_suite",
     "sort",
     "sort_region",

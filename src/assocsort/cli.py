@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import IO
 
 from .bench import ALGORITHMS, VerificationFailed, emit_csv, run_suite
 from .data_io import FORMATS, ParseError, read_list, write_list
@@ -101,10 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_input(path: str, fmt: str) -> IO:
-    if path == "-":
-        return sys.stdin if fmt == "text" else sys.stdin.buffer
-    return open(path, "r" if fmt == "text" else "rb")
+def _read_values(args: argparse.Namespace, word: WordSpec) -> list[int]:
+    """Read the ``--input`` list (``-`` is stdin) in ``--format``."""
+    if args.input == "-":
+        src = sys.stdin if args.format == "text" else sys.stdin.buffer
+        return read_list(src, args.format, word)
+    with open(args.input, "r" if args.format == "text" else "rb") as src:
+        return read_list(src, args.format, word)
 
 
 def _fail(exc: Exception) -> int:
@@ -115,12 +117,7 @@ def _fail(exc: Exception) -> int:
 def _cmd_sort(args: argparse.Namespace) -> int:
     word = WordSpec(args.word_bits)
     try:
-        src = _open_input(args.input, args.format)
-        try:
-            values = read_list(src, args.format, word)
-        finally:
-            if args.input != "-":
-                src.close()
+        values = _read_values(args, word)
         report = sort(values, word)
         if args.output == "-":
             dest = sys.stdout if args.format == "text" else sys.stdout.buffer
@@ -217,12 +214,7 @@ def _trace_hook(word: WordSpec):
 def _cmd_trace(args: argparse.Namespace) -> int:
     word = WordSpec(args.word_bits)
     try:
-        src = _open_input(args.input, args.format)
-        try:
-            values = read_list(src, args.format, word)
-        finally:
-            if args.input != "-":
-                src.close()
+        values = _read_values(args, word)
         if len(values) > TRACE_WARN_SIZE:
             print(
                 f"warning: tracing {len(values)} words prints "

@@ -10,14 +10,17 @@ Records are then compacted to the front of the region (*storing*), the
 redundant idle words are clustered next to them, and finally the nodes are
 decoded right to left, expanding the sorted values back over the region
 (*retrieval*).  Values beyond the interval are deferred to the next pass.
+:func:`run_pass` is one such pass; the driver repeats it on the unsorted
+suffix.
 
 Everything runs inside the caller's list plus a constant number of local
 variables, so auxiliary memory is O(1) regardless of input size.
 
-Words are ``w``-bit: the tag occupies bit ``w-1``, so a region handed to
-:func:`sort_region` must contain values below ``2**(w-1)``.  Values up to
-``2**w - 1`` are handled by :func:`sort`, which splits the list around
-``2**(w-1)`` and sorts the halves separately.
+Both entry points share one driver, which first validates the input in a
+single sweep that writes nothing.  The tag occupies bit ``w-1``, so
+:func:`sort_region` accepts values below ``2**(w-1)``; :func:`sort` accepts
+``[0, 2**w)`` and, when values at or above ``2**(w-1)`` are present, splits
+the list around that boundary and sorts the halves separately.
 """
 
 from __future__ import annotations
@@ -36,24 +39,19 @@ __all__ = [
     "SortReport",
     "PhaseEvent",
     "WorkCounter",
-    "EmptyRegion",
     "DuplicateDetected",
     "CorruptState",
     "ValueExceedsUniverse",
     "compute_hash",
     "node_base",
-    "find_min",
     "practice_pass",
     "store_records",
     "partition_idles",
     "retrieve_sorted",
+    "run_pass",
     "sort_region",
     "sort",
 ]
-
-
-class EmptyRegion(ValueError):
-    """An operation that needs at least one word was given an empty region."""
 
 
 class DuplicateDetected(ValueError):
@@ -213,20 +211,6 @@ def node_base(position: int, delta: int, spec: WordSpec) -> int:
     return position * (spec.w - 1) + delta
 
 
-def find_min(data: list[int], offset: int = 0, length: int | None = None) -> int:
-    """Minimum of ``data[offset:offset+length]`` by one left-to-right scan."""
-    if length is None:
-        length = len(data) - offset
-    if length <= 0:
-        raise EmptyRegion("cannot take the minimum of an empty region")
-    lo = data[offset]
-    for i in range(offset + 1, offset + length):
-        v = data[i]
-        if v < lo:
-            lo = v
-    return lo
-
-
 def practice_pass(
     data: list[int],
     region: Region,
@@ -242,7 +226,9 @@ def practice_pass(
     cursor; if it came from beyond the cursor it is re-examined in place.
 
     Raises DuplicateDetected when a node bit is already set for an incoming
-    value.  The region is then in an unspecified in-bounds state.
+    value.  The region is then in an unspecified in-bounds state.  Raises
+    ValueError, before writing the offending word, when an untagged value
+    lies below ``region.delta``.
     """
     wm1 = spec.w - 1
     tag = spec.tag_mask
@@ -265,7 +251,8 @@ def practice_pass(
         if s & tag:
             i += 1
             continue
-        assert s >= delta, "value below the pass minimum leaked into the region"
+        if s < delta:
+            raise ValueError(f"value {s} at index {i} is below the pass minimum {delta}")
         off = s - delta
         q = off // wm1
         if q >= n:
@@ -441,23 +428,63 @@ def retrieve_sorted(
         work.written += written
 
 
-def _scan_validate_min(
-    data: list[int], offset: int, length: int, spec: WordSpec
-) -> int:
-    """One sweep that checks the region fits below the tag bit and finds its min."""
-    bound = spec.tag_mask
-    lo = None
+def run_pass(
+    data: list[int],
+    region: Region,
+    spec: WordSpec,
+    work: WorkCounter | None = None,
+    hook: PhaseHook | None = None,
+    index: int = 0,
+) -> PassTally:
+    """Run practice, store, partition and retrieve once over ``region``.
+
+    Afterwards the first ``tally.sorted_count`` words of the region hold the
+    practiced interval in ascending order and the deferred values follow,
+    untagged.  ``region.delta`` may sit below the region minimum, which
+    shifts where the nodes land.  ``hook``, when given, sees a PhaseEvent
+    numbered ``index`` after each phase.
+    """
+
+    def emit(phase: str) -> None:
+        if hook is not None:
+            hook(PhaseEvent(phase, index, region, tally, data))
+
+    tally = practice_pass(data, region, spec, work)
+    emit("practice")
+    store_records(data, region, tally.n_d, spec, work)
+    emit("store")
+    partition_idles(data, region, tally, spec, work)
+    emit("partition")
+    retrieve_sorted(data, region, tally, spec, work)
+    emit("retrieve")
+    return tally
+
+
+def _validate_bounds(
+    data: list[int], offset: int, length: int, spec: WordSpec, limit: int
+) -> tuple[int | None, int | None]:
+    """Check every value of the window is an int in ``[0, limit)``.
+
+    One sweep; returns the minimum below the tag bit and the minimum at or
+    above it (None for an empty side).  Raises before any word is written.
+    """
+    half = spec.tag_mask
+    low_min: int | None = None
+    high_min: int | None = None
     for idx in range(offset, offset + length):
         v = data[idx]
-        if v < 0 or v >= bound:
+        if type(v) is not int:
+            raise TypeError(f"value {v!r} at index {idx} is not an int")
+        if v < 0 or v >= limit:
             raise ValueExceedsUniverse(
-                f"value {v} at index {idx} does not fit below the tag bit "
-                f"(< 2^{spec.w - 1}); use sort() for full-universe input"
+                f"value {v} at index {idx} is outside [0, 2^{limit.bit_length() - 1})"
             )
-        if lo is None or v < lo:
-            lo = v
-    assert lo is not None
-    return lo
+        if v >= half:
+            if high_min is None or v < high_min:
+                high_min = v
+        elif low_min is None or v < low_min:
+            low_min = v
+    return low_min, high_min
 
 
 def _drive(
@@ -485,32 +512,72 @@ def _drive(
             tally = PassTally(1, 0, 0, None)
             report.passes.append(tally)
             if hook is not None:
-                hook(
-                    PhaseEvent(
-                        "singleton", index, Region(pos, 1, data[pos]), tally, data
-                    )
-                )
+                region = Region(pos, 1, data[pos])
+                hook(PhaseEvent("singleton", index, region, tally, data))
             break
-        region = Region(pos, remaining, delta)
-        tally = practice_pass(data, region, spec, work)
-        if hook is not None:
-            hook(PhaseEvent("practice", index, region, tally, data))
-        store_records(data, region, tally.n_d, spec, work)
-        if hook is not None:
-            hook(PhaseEvent("store", index, region, tally, data))
-        partition_idles(data, region, tally, spec, work)
-        if hook is not None:
-            hook(PhaseEvent("partition", index, region, tally, data))
-        retrieve_sorted(data, region, tally, spec, work)
-        if hook is not None:
-            hook(PhaseEvent("retrieve", index, region, tally, data))
+        tally = run_pass(data, Region(pos, remaining, delta), spec, work, hook, index)
         report.passes.append(tally)
         pos += tally.sorted_count
         remaining -= tally.sorted_count
-        assert tally.delta_prime is not None or remaining == 0
-        delta = tally.delta_prime if tally.delta_prime is not None else 0
+        if remaining:
+            if tally.delta_prime is None:
+                raise CorruptState(f"{remaining} values left but none was deferred")
+            delta = tally.delta_prime
     report.words_scanned += work.scanned
     report.words_written += work.written
+
+
+def _sort(
+    data: list[int],
+    spec: WordSpec,
+    offset: int,
+    length: int,
+    hook: PhaseHook | None,
+    limit: int,
+) -> SortReport:
+    """Validate ``data[offset:offset+length]`` against ``limit``, then sort it.
+
+    Values at or above ``2**(w-1)`` would collide with the tag bit, so when
+    any are present the window is first split in place around ``2**(w-1)``
+    (order inside the halves is irrelevant for distinct values), the high
+    half is shifted down by ``2**(w-1)``, both halves are driven, and the
+    shift is undone.  The report covers both halves.
+    """
+    started = time.perf_counter_ns()
+    report = SortReport()
+    low_min, high_min = _validate_bounds(data, offset, length, spec, limit)
+    report.words_scanned += length
+    half = spec.tag_mask
+    end = offset + length
+    k = end  # the high half is data[k:end]
+    if high_min is not None:
+        # Unstable two-pointer split around the tag boundary.
+        i, j = offset, end - 1
+        swaps = 0
+        while True:
+            while i <= j and data[i] < half:
+                i += 1
+            while i <= j and data[j] >= half:
+                j -= 1
+            if i > j:
+                break
+            data[i], data[j] = data[j], data[i]
+            swaps += 1
+            i += 1
+            j -= 1
+        k = i
+        report.words_scanned += length
+        report.words_written += 2 * swaps + 2 * (end - k)
+        for idx in range(k, end):
+            data[idx] -= half
+    if low_min is not None:
+        _drive(data, spec, offset, k - offset, hook, report, low_min)
+    if high_min is not None:
+        _drive(data, spec, k, end - k, hook, report, high_min - half)
+        for idx in range(k, end):
+            data[idx] += half
+    report.elapsed_ns = time.perf_counter_ns() - started
+    return report
 
 
 def sort_region(
@@ -522,23 +589,16 @@ def sort_region(
 ) -> SortReport:
     """Sort ``data[offset:offset+length]`` ascending in place.
 
-    Values must be pairwise distinct and fit below the tag bit
+    Values must be pairwise distinct ints below the tag bit
     (``< 2**(w-1)``).  Runs as many passes as the value spread requires; each
     pass appends its interval to the sorted prefix, so after pass t the first
     ``sum(sorted_count)`` words are final.
     """
-    started = time.perf_counter_ns()
     if length is None:
         length = len(data) - offset
     if offset < 0 or length < 0 or offset + length > len(data):
         raise ValueError("region out of bounds")
-    report = SortReport()
-    if length > 0:
-        delta = _scan_validate_min(data, offset, length, spec)
-        report.words_scanned += length
-        _drive(data, spec, offset, length, hook, report, delta)
-    report.elapsed_ns = time.perf_counter_ns() - started
-    return report
+    return _sort(data, spec, offset, length, hook, spec.tag_mask)
 
 
 def sort(
@@ -546,77 +606,9 @@ def sort(
     spec: WordSpec = HOST_SPEC,
     hook: PhaseHook | None = None,
 ) -> SortReport:
-    """Sort a list of distinct values drawn from the full ``[0, 2**w)`` universe.
+    """Sort a list of distinct ints drawn from the full ``[0, 2**w)`` universe.
 
-    Values at or above ``2**(w-1)`` would collide with the tag bit, so when
-    any are present the list is first split in place around ``2**(w-1)``
-    (order inside the halves is irrelevant for distinct values), the high
-    half is shifted down by ``2**(w-1)``, both halves are sorted as regions,
-    and the shift is undone.  The report covers both halves.
+    Values at or above ``2**(w-1)`` are sorted after an in-place split
+    around that boundary; the report covers both halves.
     """
-    started = time.perf_counter_ns()
-    report = SortReport()
-    n = len(data)
-    if n == 0:
-        report.elapsed_ns = time.perf_counter_ns() - started
-        return report
-
-    half = spec.tag_mask
-    limit = 1 << spec.w
-    any_high = False
-    low_min: int | None = None
-    high_min: int | None = None
-    for idx in range(n):
-        v = data[idx]
-        if v < 0 or v >= limit:
-            raise ValueExceedsUniverse(
-                f"value {v} at index {idx} does not fit in {spec.w} bits"
-            )
-        if v >= half:
-            any_high = True
-            if high_min is None or v < high_min:
-                high_min = v
-        elif low_min is None or v < low_min:
-            low_min = v
-    report.words_scanned += n
-
-    if not any_high:
-        assert low_min is not None
-        _drive(data, spec, 0, n, hook, report, low_min)
-        report.elapsed_ns = time.perf_counter_ns() - started
-        return report
-
-    # Unstable two-pointer split around the tag boundary.
-    i, j = 0, n - 1
-    swaps = 0
-    while True:
-        while i <= j and data[i] < half:
-            i += 1
-        while i <= j and data[j] >= half:
-            j -= 1
-        if i > j:
-            break
-        data[i], data[j] = data[j], data[i]
-        swaps += 1
-        i += 1
-        j -= 1
-    k = i
-    report.words_scanned += n
-    report.words_written += 2 * swaps
-
-    for idx in range(k, n):
-        data[idx] -= half
-    report.words_written += n - k
-
-    if k > 0:
-        assert low_min is not None
-        _drive(data, spec, 0, k, hook, report, low_min)
-    assert high_min is not None
-    _drive(data, spec, k, n - k, hook, report, high_min - half)
-
-    for idx in range(k, n):
-        data[idx] += half
-    report.words_written += n - k
-
-    report.elapsed_ns = time.perf_counter_ns() - started
-    return report
+    return _sort(data, spec, 0, len(data), hook, spec.universe)

@@ -31,7 +31,6 @@ __all__ = [
     "gen_full_universe",
     "generate",
     "predict_worst_pass_bound",
-    "predict_average_work",
 ]
 
 FAMILIES = ("uniform", "adversarial", "best_case", "full_universe")
@@ -170,8 +169,3 @@ def predict_worst_pass_bound(n: int, m: int, spec: WordSpec) -> int:
         return 1
     denom = (spec.w - 1) * n - 1
     return max(1, -(-(m - 1) // denom))
-
-
-def predict_average_work(n: int, beta: int, spec: WordSpec) -> int:
-    """Total scan-work bound ``beta*n`` for uniform inputs."""
-    return beta * n

@@ -9,25 +9,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .engine import (
-    PassTally,
-    Region,
-    WordSpec,
-    find_min,
-    partition_idles,
-    practice_pass,
-    retrieve_sorted,
-    sort,
-    sort_region,
-    store_records,
-)
+from .engine import Region, WordSpec, practice_pass, run_pass, sort, sort_region
 from .generators import DatasetSpec, generate
 from .oracles import oracle_sort, verify_pass_tally
 
 __all__ = [
     "SuiteResult",
     "sample_case",
-    "run_single_pass",
     "clobber_cases",
     "check_oracle_equivalence",
     "check_pass_counts",
@@ -95,23 +83,6 @@ def sample_case(trial_seed: int, max_n: int = 4096) -> tuple[WordSpec, DatasetSp
         cap = min(max_n, 256, _max_adversarial_n(word, 256))
     n = _log_uniform(rng, cap) if rng.random() > 0.02 else 0
     return word, DatasetSpec(family, n, w, beta=beta, seed=trial_seed)
-
-
-def run_single_pass(
-    data: list[int], delta: int, word: WordSpec
-) -> PassTally:
-    """Drive the four phases once over the whole list with an explicit delta.
-
-    Unlike the sort driver, delta may sit below the list minimum, which
-    shifts where the nodes land; useful for exercising specific node
-    placements.
-    """
-    region = Region(0, len(data), delta)
-    tally = practice_pass(data, region, word, None)
-    store_records(data, region, tally.n_d, word, None)
-    partition_idles(data, region, tally, word, None)
-    retrieve_sorted(data, region, tally, word, None)
-    return tally
 
 
 def clobber_cases() -> list[tuple[int, list[int]]]:
@@ -200,7 +171,7 @@ def check_tally_oracle(trials: int, seed: int) -> SuiteResult:
         if not data:
             result.passed += 1
             continue
-        delta = find_min(data)
+        delta = min(data)
         expected = verify_pass_tally(data, delta, len(data), word)
         buf = list(data)
         got = practice_pass(buf, Region(0, len(buf), delta), word, None)
@@ -229,7 +200,7 @@ def check_clobber(_seed: int = 0) -> SuiteResult:
     word = WordSpec(8)
     bare = [35, 42, 43, 44, 45, 46, 47]
     buf = list(bare)
-    run_single_pass(buf, 0, word)
+    run_pass(buf, Region(0, len(buf), 0), word)
     record(buf == sorted(bare), f"w=8 delta=0 {bare}")
 
     for w, values in clobber_cases():

@@ -92,6 +92,13 @@ class TestSortRegion:
         with pytest.raises(ValueError):
             sort_region([1, 2], W8, offset=1, length=5)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_rejects_non_int_before_writing(self, bad):
+        data = [9, 0, bad, 4]
+        with pytest.raises(TypeError, match=rf"value {bad!r} at index 2"):
+            sort_region(data, W8)
+        assert data == [9, 0, bad, 4]
+
 
 class TestSortUniverse:
     def test_split_example(self):
@@ -137,6 +144,13 @@ class TestSortUniverse:
             sort([3, 16], WordSpec(4))
         with pytest.raises(ValueExceedsUniverse):
             sort([3, -1], WordSpec(4))
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_rejects_non_int_before_writing(self, bad):
+        data = [200, 1, bad]  # 200 would trigger the split
+        with pytest.raises(TypeError, match=rf"value {bad!r} at index 2"):
+            sort(data, W8)
+        assert data == [200, 1, bad]
 
     def test_duplicates_rejected_both_sides(self):
         with pytest.raises(DuplicateDetected):

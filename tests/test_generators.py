@@ -15,7 +15,6 @@ from assocsort import (
     gen_uniform,
     generate,
     oracle_sort,
-    predict_average_work,
     predict_worst_pass_bound,
     sort,
     verify_pass_tally,
@@ -158,11 +157,6 @@ class TestPredictors:
             m = max(data) + 1
             report = sort(data, word)
             assert report.pass_count <= predict_worst_pass_bound(n, m, word)
-
-    def test_average_work_examples(self):
-        assert predict_average_work(1000, 4, W16) == 4000
-        assert predict_average_work(123, 1, W16) == 123
-        assert predict_average_work(0, 8, W16) == 0
 
 
 class TestTallyOracle:

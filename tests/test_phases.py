@@ -6,20 +6,24 @@ The running example is [9, 2, 0, 11] at w=8 (divisor 7, tag bit 128):
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from assocsort import (
     CorruptState,
     DuplicateDetected,
-    EmptyRegion,
     PassTally,
     Region,
     WordSpec,
     WorkCounter,
-    find_min,
     partition_idles,
     practice_pass,
     retrieve_sorted,
+    run_pass,
     store_records,
     verify_pass_tally,
 )
@@ -28,28 +32,11 @@ W8 = WordSpec(8)
 TAG = W8.tag_mask
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_phases(data, delta, spec):
-    region = Region(0, len(data), delta)
-    tally = practice_pass(data, region, spec)
-    store_records(data, region, tally.n_d, spec)
-    partition_idles(data, region, tally, spec)
-    retrieve_sorted(data, region, tally, spec)
-    return tally
-
-
-class TestFindMin:
-    def test_examples(self):
-        assert find_min([9, 2, 0, 11]) == 0
-        assert find_min([7]) == 7
-        # duplicates are not this operation's business
-        assert find_min([5, 5]) == 5
-
-    def test_window(self):
-        assert find_min([9, 1, 8, 3], offset=2, length=2) == 3
-
-    def test_empty(self):
-        with pytest.raises(EmptyRegion):
-            find_min([])
+    return run_pass(data, Region(0, len(data), delta), spec)
 
 
 class TestPractice:
@@ -86,6 +73,25 @@ class TestPractice:
     def test_duplicate_detected_when_one_copy_created_the_node(self):
         with pytest.raises(DuplicateDetected):
             practice_pass([5, 5], Region(0, 2, 5), W8)
+
+    def test_value_below_delta_rejected_under_optimize(self):
+        # The guard must survive ``python -O``; unguarded, 3 hashes to node
+        # -1 and the pass writes through data[-1].
+        code = (
+            "from assocsort import Region, WordSpec, practice_pass\n"
+            "data = [3, 9]\n"
+            "try:\n"
+            "    practice_pass(data, Region(0, 2, 5), WordSpec(8))\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__, data)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ValueError [3, 9]"
 
     def test_preserves_value_multiset_in_records(self):
         values = [40, 3, 18, 0, 25, 9, 32, 11]
