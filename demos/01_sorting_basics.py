@@ -3,8 +3,8 @@
 
 The sorter works on plain Python lists of distinct unsigned integers.  A
 word width w picks the universe [0, 2**w): one bit is reserved for tagging,
-the rest carry values or records.  Each sort returns a report with one tally
-per pass plus work counters.
+the rest carry values or records.  Each sort returns a report of running
+totals; a hook sees every phase of every pass, including each pass's tally.
 """
 
 import sys
@@ -22,24 +22,31 @@ from assocsort import WordSpec, sort
 word = WordSpec(16)
 data = [40_000, 7, 5_000, 62_001, 0, 33_000, 12, 9_999]
 
+
+
+# Each pass covers one value interval; its tally, handed to the hook with
+# the pass's retrieve event, says how many values became nodes (n_d), how
+# many were absorbed as idle duplicates of a node's interval (n_c), and how
+# many waited for a later pass (n_d_prime).  Passes over the upper half run
+# on values shifted down by 2**15, so their next_min is shifted too.
+def show_pass(event):
+    if event.phase == "retrieve":
+        tally = event.tally
+        print(
+            f"pass {event.pass_index + 1}: n_d={tally.n_d} n_c={tally.n_c} "
+            f"deferred={tally.n_d_prime} next_min={tally.delta_prime}"
+        )
+
+
 print("before:", data)
-report = sort(data, word)
+report = sort(data, word, hook=show_pass)
 print("after: ", data)
 print()
 print(f"passes:        {report.pass_count}")
+print(f"values sorted: {report.total_sorted}")
 print(f"words scanned: {report.words_scanned}")
 print(f"words written: {report.words_written}")
 print(f"elapsed:       {report.elapsed_ns} ns")
-print()
-
-# Each pass covers one value interval; its tally says how many values became
-# nodes (n_d), how many were absorbed as idle duplicates of a node's
-# interval (n_c), and how many waited for a later pass (n_d_prime).
-for i, tally in enumerate(report.passes, start=1):
-    print(
-        f"pass {i}: n_d={tally.n_d} n_c={tally.n_c} "
-        f"deferred={tally.n_d_prime} next_min={tally.delta_prime}"
-    )
 
 # The sort is on-line: after each pass, a fully sorted prefix is in place.
 # Sorting is strict about its contract -- duplicates abort loudly.

@@ -181,7 +181,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _classify(phase: str, rel: int, low: int, tagged: bool, event: PhaseEvent, w: int) -> str:
     tally = event.tally
     region = event.region
-    if phase in ("retrieve", "singleton"):
+    if phase == "retrieve":
         return "output" if rel < tally.n_d + tally.n_c else "out-of-range"
     if phase in ("store", "partition") and rel < tally.n_d:
         return "record"

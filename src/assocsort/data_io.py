@@ -85,8 +85,8 @@ def write_list(values: list[int], destination: Source, fmt: str) -> None:
         payload: str | bytes = "".join(f"{v}\n" for v in values)
     else:
         try:
-            payload = b"".join(v.to_bytes(8, "little") for v in values)
-        except OverflowError as exc:
+            payload = struct.pack(f"<{len(values)}Q", *values)
+        except struct.error as exc:
             raise ValueExceedsUniverse(f"value does not fit in 8 bytes: {exc}") from exc
     if isinstance(destination, (str, Path)):
         mode = "w" if fmt == "text" else "wb"

@@ -140,35 +140,32 @@ class PassTally:
 
 @dataclass
 class SortReport:
-    """Per-pass tallies plus work counters and wall time for one sort call.
+    """Running totals for one sort call.
 
-    ``words_scanned`` counts words examined to classify or route values: the
-    initial validation/minimum sweep, the universe partition sweep when the
-    full-range path runs, and every cursor step of each pass's practice
-    sweep.  ``words_written`` counts every word mutation in any phase.
+    ``pass_count`` passes ran and appended ``total_sorted`` words to the
+    sorted prefix.  ``words_scanned`` counts words examined to classify or
+    route values: the initial validation/minimum sweep, the universe
+    partition sweep when the full-range path runs, and every cursor step of
+    each pass's practice sweep.  ``words_written`` counts every word
+    mutation in any phase.  Per-pass tallies reach callers only through the
+    hook, so the report stays O(1) whatever the pass count.
     """
 
-    passes: list[PassTally] = field(default_factory=list)
+    pass_count: int = 0
+    total_sorted: int = 0
     words_scanned: int = 0
     words_written: int = 0
     elapsed_ns: int = 0
-
-    @property
-    def pass_count(self) -> int:
-        return len(self.passes)
-
-    @property
-    def total_sorted(self) -> int:
-        return sum(t.sorted_count for t in self.passes)
 
 
 @dataclass(frozen=True)
 class PhaseEvent:
     """Snapshot handed to the tracing hook at each phase boundary.
 
-    ``phase`` is one of ``practice``, ``store``, ``partition``, ``retrieve``
-    or ``singleton``.  ``data`` is the live backing list; hooks must treat it
-    as read-only.
+    ``phase`` is one of ``practice``, ``store``, ``partition`` or
+    ``retrieve``; every pass, a one-word pass included, emits all four in
+    that order, each with the pass's tally.
+    ``data`` is the live backing list; hooks must treat it as read-only.
     """
 
     phase: str
@@ -241,12 +238,10 @@ def practice_pass(
     n_c = 0
     n_out = 0
     delta_next: int | None = None
-    scanned = 0
-    written = 0
+    rescans = 0
 
     i = base
     while i < end:
-        scanned += 1
         s = data[i]
         if s & tag:
             i += 1
@@ -270,7 +265,6 @@ def practice_pass(
                     f"value {s} occurs more than once (node {q}, bit {bit.bit_length() - 1})"
                 )
             data[j] = node | bit
-            written += 1
             n_c += 1
             i += 1
         else:
@@ -280,14 +274,15 @@ def practice_pass(
             # not been seen yet and is re-examined at i.
             data[i] = node
             data[j] = tag | bit
-            written += 2
             n_d += 1
             if j <= i:
                 i += 1
+            else:
+                rescans += 1
 
     if work is not None:
-        work.scanned += scanned
-        work.written += written
+        work.scanned += n + rescans
+        work.written += n_c + 2 * n_d
     return PassTally(n_d, n_c, n_out, delta_next)
 
 
@@ -310,19 +305,17 @@ def store_records(
     i = region.offset
     j = region.offset
     k = n_d
-    written = 0
     while k:
         si = data[i]
         if si & tag:
             sj = data[j]
             data[j] = (sj & tag) | (si & vmask)
             data[i] = (si & tag) | (sj & vmask)
-            written += 2
             j += 1
             k -= 1
         i += 1
     if work is not None:
-        work.written += written
+        work.written += 2 * n_d
 
 
 def partition_idles(
@@ -348,7 +341,6 @@ def partition_idles(
     i = region.offset + tally.n_d
     j = i
     k = tally.n_c
-    written = 0
     while k:
         si = data[i]
         s = si & vmask
@@ -358,12 +350,11 @@ def partition_idles(
         sj = data[j]
         data[j] = (sj & tag) | s
         data[i] = (si & tag) | (sj & vmask)
-        written += 2
         i += 1
         j += 1
         k -= 1
     if work is not None:
-        work.written += written
+        work.written += 2 * tally.n_c
 
 
 def retrieve_sorted(
@@ -395,7 +386,6 @@ def retrieve_sorted(
     p = base + tally.n_d + tally.n_c
     r = base + tally.n_d - 1
     i = base + region.length - 1
-    written = 0
 
     while p > base:
         if i < base:
@@ -416,16 +406,14 @@ def retrieve_sorted(
             p -= 1
             t = data[p]
             data[p] = (t & tag) | (vbase + k)
-            written += 1
         data[i] &= vmask
-        written += 1
         r -= 1
         i -= 1
 
     if r != base - 1:
         raise CorruptState(f"{r - base + 1} records left after all slots were written")
     if work is not None:
-        work.written += written
+        work.written += 2 * tally.n_d + tally.n_c
 
 
 def run_pass(
@@ -507,16 +495,10 @@ def _drive(
     remaining = length
     delta = first_delta
     while remaining > 0:
-        index = len(report.passes)
-        if remaining == 1:
-            tally = PassTally(1, 0, 0, None)
-            report.passes.append(tally)
-            if hook is not None:
-                region = Region(pos, 1, data[pos])
-                hook(PhaseEvent("singleton", index, region, tally, data))
-            break
-        tally = run_pass(data, Region(pos, remaining, delta), spec, work, hook, index)
-        report.passes.append(tally)
+        region = Region(pos, remaining, delta)
+        tally = run_pass(data, region, spec, work, hook, report.pass_count)
+        report.pass_count += 1
+        report.total_sorted += tally.sorted_count
         pos += tally.sorted_count
         remaining -= tally.sorted_count
         if remaining:

@@ -38,6 +38,15 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failed == 0
 
+    def record(self, ok: bool, note: str) -> None:
+        """Count one check; ``note`` is kept when it is the first failure."""
+        if ok:
+            self.passed += 1
+        else:
+            self.failed += 1
+            if self.first_failure is None:
+                self.first_failure = note
+
 
 def _max_adversarial_n(word: WordSpec, cap: int) -> int:
     # Largest n with (n-1)*(w-1)*n < 2^(w-1), found by walking down from cap.
@@ -120,27 +129,13 @@ def check_oracle_equivalence(trials: int, seed: int) -> SuiteResult:
         data = generate(ds)
         buf = list(data)
         sort(buf, word)
-        if buf == oracle_sort(data):
-            result.passed += 1
-        else:
-            result.failed += 1
-            if result.first_failure is None:
-                result.first_failure = f"trial={t} w={word.w} dataset={ds}"
+        result.record(buf == oracle_sort(data), f"trial={t} w={word.w} dataset={ds}")
     return result
 
 
 def check_pass_counts(seed: int) -> SuiteResult:
     """Best-case inputs take one pass; adversarial inputs take one per value."""
     result = SuiteResult("pass_counts", 0, 0)
-
-    def record(ok: bool, note: str) -> None:
-        if ok:
-            result.passed += 1
-        else:
-            result.failed += 1
-            if result.first_failure is None:
-                result.first_failure = note
-
     rng = random.Random(seed)
     for w in VERIFY_WIDTHS:
         word = WordSpec(w)
@@ -149,12 +144,14 @@ def check_pass_counts(seed: int) -> SuiteResult:
                 continue
             data = list(generate(DatasetSpec("best_case", n, w, seed=rng.getrandbits(32))))
             report = sort(data, word)
-            record(report.pass_count == 1, f"best_case n={n} w={w} passes={report.pass_count}")
+            note = f"best_case n={n} w={w} passes={report.pass_count}"
+            result.record(report.pass_count == 1, note)
     for w, n in [(8, 4), (16, 16), (16, 32), (64, 64), (64, 128)]:
         word = WordSpec(w)
         data = list(generate(DatasetSpec("adversarial", n, w)))
         report = sort(data, word)
-        record(report.pass_count == n, f"adversarial n={n} w={w} passes={report.pass_count}")
+        note = f"adversarial n={n} w={w} passes={report.pass_count}"
+        result.record(report.pass_count == n, note)
     return result
 
 
@@ -175,39 +172,25 @@ def check_tally_oracle(trials: int, seed: int) -> SuiteResult:
         expected = verify_pass_tally(data, delta, len(data), word)
         buf = list(data)
         got = practice_pass(buf, Region(0, len(buf), delta), word, None)
-        if got == expected:
-            result.passed += 1
-        else:
-            result.failed += 1
-            if result.first_failure is None:
-                result.first_failure = f"trial={t} w={word.w} got={got} want={expected}"
+        result.record(got == expected, f"trial={t} w={word.w} got={got} want={expected}")
     return result
 
 
 def check_clobber(_seed: int = 0) -> SuiteResult:
     """Hazard family: expansion spans crossing a pending tag must sort right."""
     result = SuiteResult("clobber_regression", 0, 0)
-
-    def record(ok: bool, note: str) -> None:
-        if ok:
-            result.passed += 1
-        else:
-            result.failed += 1
-            if result.first_failure is None:
-                result.first_failure = note
-
     # The bare run, driven with an explicit delta so the nodes sit high.
     word = WordSpec(8)
     bare = [35, 42, 43, 44, 45, 46, 47]
     buf = list(bare)
     run_pass(buf, Region(0, len(buf), 0), word)
-    record(buf == sorted(bare), f"w=8 delta=0 {bare}")
+    result.record(buf == sorted(bare), f"w=8 delta=0 {bare}")
 
     for w, values in clobber_cases():
         word = WordSpec(w)
         buf = list(values)
         sort_region(buf, word)
-        record(buf == sorted(values), f"w={w} {values[:4]}...")
+        result.record(buf == sorted(values), f"w={w} {values[:4]}...")
     return result
 
 

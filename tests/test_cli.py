@@ -199,8 +199,14 @@ class TestTrace:
         code = run_cli(["trace", "--input", str(src), "--word-bits", "8"])
         captured = capsys.readouterr()
         assert code == 0
-        assert "pass 1 singleton:" in captured.out
-        assert "output" in captured.out
+        lines = captured.out.splitlines()
+        # A one-word input runs the same four phases as any other pass.
+        for phase in ("practice", "store", "partition"):
+            assert f"pass 1 {phase}: offset=0 length=1 delta=42 n_d=1 n_c=0 n_out=0" in lines
+        retrieve_at = lines.index(
+            "pass 1 retrieve: offset=0 length=1 delta=42 n_d=1 n_c=0 n_out=0"
+        )
+        assert lines[retrieve_at + 1] == "  [0] tag=0 low=42 output"
 
     def test_duplicate_aborts_after_partial_trace(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

@@ -86,8 +86,9 @@ class TestBinary:
             read_list(buf, "binary", WordSpec(8))
 
     def test_oversized_write_rejected(self):
-        with pytest.raises(ValueExceedsUniverse):
-            write_list([1 << 64], io.BytesIO(), "binary")
+        for values in ([1 << 64], [-1]):
+            with pytest.raises(ValueExceedsUniverse):
+                write_list(values, io.BytesIO(), "binary")
 
 
 def test_unknown_format_rejected():

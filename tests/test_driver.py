@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,27 +11,48 @@ from hypothesis import strategies as st
 
 from assocsort import (
     DuplicateDetected,
+    PassTally,
     PhaseEvent,
     ValueExceedsUniverse,
     WordSpec,
+    gen_adversarial,
     gen_best_case,
+    generate,
     oracle_sort,
     sort,
     sort_region,
 )
+from assocsort.verification import sample_case
 
 W8 = WordSpec(8)
+
+
+def pass_tallies(sorter, data, spec):
+    """Sort ``data`` and return the report with each pass's final tally.
+
+    The report keeps totals only; each pass's tally reaches the caller
+    through the hook, on the pass's ``retrieve`` event.
+    """
+    tallies = []
+
+    def hook(event: PhaseEvent) -> None:
+        if event.phase == "retrieve":
+            tallies.append(event.tally)
+
+    report = sorter(data, spec, hook=hook)
+    return report, tallies
 
 
 class TestSortRegion:
     def test_three_pass_chain(self):
         # Interval widths shrink as the region shrinks: {0}, then {50}, then {100}.
         data = [0, 100, 50]
-        report = sort_region(data, W8)
+        report, tallies = pass_tallies(sort_region, data, W8)
         assert data == [0, 50, 100]
         assert report.pass_count == 3
-        assert [t.sorted_count for t in report.passes] == [1, 1, 1]
-        assert [t.delta_prime for t in report.passes] == [50, 100, None]
+        assert report.total_sorted == 3
+        assert [t.sorted_count for t in tallies] == [1, 1, 1]
+        assert [t.delta_prime for t in tallies] == [50, 100, None]
 
     def test_single_pass_when_range_fits(self):
         rng = random.Random(5)
@@ -41,22 +63,24 @@ class TestSortRegion:
             assert data == sorted(data)
 
     def test_empty(self):
-        report = sort_region([], W8)
-        assert report.passes == []
+        report, tallies = pass_tallies(sort_region, [], W8)
+        assert tallies == []
+        assert report.pass_count == 0
         assert report.total_sorted == 0
 
     def test_singleton(self):
         data = [42]
-        report = sort_region(data, W8)
+        report, tallies = pass_tallies(sort_region, data, W8)
         assert data == [42]
         assert report.pass_count == 1
-        assert report.passes[0].n_d == 1
+        assert tallies == [PassTally(1, 0, 0, None)]
 
     def test_pass_tallies_conserve_region_lengths(self):
         data = [0, 100, 50, 13, 90, 77, 120, 1]
-        report = sort_region(data, W8)
+        report, tallies = pass_tallies(sort_region, data, W8)
+        assert len(tallies) == report.pass_count
         remaining = 8
-        for tally in report.passes:
+        for tally in tallies:
             assert tally.n_d + tally.n_c + tally.n_d_prime == remaining
             remaining -= tally.sorted_count
         assert remaining == 0
@@ -68,14 +92,12 @@ class TestSortRegion:
         prefixes = []
 
         def hook(event: PhaseEvent) -> None:
-            if event.phase in ("retrieve", "singleton"):
+            if event.phase == "retrieve":
                 done = event.region.offset + event.tally.sorted_count
                 prefixes.append(list(event.data[:done]))
 
-        sort_region(data, W8, hook=hook)
-        assert len(prefixes) == len(
-            sort_region(list(values), W8).passes
-        )
+        report = sort_region(data, W8, hook=hook)
+        assert len(prefixes) == report.pass_count
         for prefix in prefixes:
             assert prefix == expected[: len(prefix)]
 
@@ -119,10 +141,10 @@ class TestSortUniverse:
         values = [9, 2, 0, 11]
         via_sort = list(values)
         via_region = list(values)
-        r1 = sort(via_sort, W8)
-        r2 = sort_region(via_region, W8)
+        _, t1 = pass_tallies(sort, via_sort, W8)
+        _, t2 = pass_tallies(sort_region, via_region, W8)
         assert via_sort == via_region
-        assert [t for t in r1.passes] == [t for t in r2.passes]
+        assert t1 == t2
 
     def test_all_values_high(self):
         data = [255, 129, 200, 128]
@@ -159,7 +181,7 @@ class TestSortUniverse:
             sort([200, 200, 1], W8)
 
     def test_empty_and_singleton(self):
-        assert sort([], W8).passes == []
+        assert sort([], W8).pass_count == 0
         data = [77]
         report = sort(data, W8)
         assert data == [77] and report.pass_count == 1
@@ -173,6 +195,52 @@ class TestSortUniverse:
         sort(hooked, W8, hook=events.append)
         assert quiet == hooked
         assert {e.phase for e in events} >= {"practice", "store", "partition", "retrieve"}
+
+
+class CountingList(list):
+    """A list that counts element writes, to check ``words_written``."""
+
+    def __init__(self, values) -> None:
+        super().__init__(values)
+        self.writes = 0
+
+    def __setitem__(self, index, value) -> None:
+        self.writes += 1
+        super().__setitem__(index, value)
+
+
+class TestReportTotals:
+    def test_words_written_counts_every_element_write(self):
+        # The phases add closed forms of their tallies, not per-word counts;
+        # a list that counts its own writes checks those forms end to end.
+        split = multi_pass = 0
+        for trial in range(2000):
+            word, ds = sample_case(trial)
+            values = generate(ds)
+            data = CountingList(values)
+            report = sort(data, word)
+            assert data == sorted(values)
+            assert report.words_written == data.writes, (trial, ds)
+            split += any(v >= word.tag_mask for v in values)
+            multi_pass += report.pass_count > 1
+        assert split and multi_pass
+
+    def test_bookkeeping_is_flat_in_the_pass_count(self):
+        # 512 passes; a per-pass record would grow with each one.
+        word = WordSpec(64)
+        values = gen_adversarial(512, word)
+        tracemalloc.start(1)
+        try:
+            data = [v + 0 for v in values]  # re-allocate under tracing
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            report = sort(data, word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.pass_count == 512
+        assert data == sorted(values)
+        assert peak - before < 32 * 1024
 
 
 @settings(max_examples=120, deadline=None)

@@ -69,9 +69,15 @@ class TestAdversarial:
 
     def test_one_pass_per_value(self):
         data = gen_adversarial(4, W16)
-        report = sort(data, W16)
+        sorted_counts = []
+
+        def hook(event):
+            if event.phase == "retrieve":
+                sorted_counts.append(event.tally.sorted_count)
+
+        report = sort(data, W16, hook=hook)
         assert report.pass_count == 4
-        assert all(t.sorted_count == 1 for t in report.passes)
+        assert sorted_counts == [1, 1, 1, 1]
 
     def test_infeasible_at_small_width(self):
         # 3*3*4 = 36 does not fit below 2^3

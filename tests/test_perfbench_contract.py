@@ -1,0 +1,51 @@
+"""The engine hooks the benchmark's traced run relies on.
+
+``perfbench/tracing.py`` wraps the four phase functions by module-global
+name and reads each call's ``WorkCounter`` deltas.  These tests load it by
+path, as the benchmark does not ship in the package, and check that its
+per-phase totals still account for the whole ``SortReport``.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from assocsort import DatasetSpec, WordSpec, engine, gen_adversarial, generate, sort
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    ("values", "word", "split"),
+    [
+        # one pass per value, the last over a single word; all below the tag
+        (gen_adversarial(16, WordSpec(16)), WordSpec(16), False),
+        # values on both sides of 2**63: the tag split runs first
+        (generate(DatasetSpec("full_universe", 64, 64, seed=3)), WordSpec(64), True),
+    ],
+    ids=["no_split", "tag_split"],
+)
+def test_phase_totals_account_for_the_report(values, word, split):
+    assert split == any(v >= word.tag_mask for v in values)
+    tracing = _load_tracing()
+    data = list(values)
+    with tracing.EngineTrace(engine) as trace:
+        report = sort(data, word)
+    assert data == sorted(values)
+    record = trace.take(report)
+    phases = record["phases"]
+    assert set(phases) == {"practice", "store", "partition", "retrieve"}
+    for name, totals in phases.items():
+        assert totals["calls"] == report.pass_count, name
+    sweeps = len(values) * (2 if split else 1)  # validation, then the tag split
+    assert sum(t["scanned"] for t in phases.values()) + sweeps == report.words_scanned

@@ -114,6 +114,9 @@ class TestPractice:
         practice_pass(data, Region(0, 5, 0), W8, work)
         # one classification step per word plus at most one skip per node
         assert work.scanned <= 2 * len(data)
+        # exactly: five words plus one re-examination, of the 2 that 9
+        # displaced from index 1 to the cursor at index 0
+        assert work.scanned == 6
 
 
 class TestStore:
