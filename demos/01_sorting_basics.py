@@ -28,13 +28,14 @@ data = [40_000, 7, 5_000, 62_001, 0, 33_000, 12, 9_999]
 # the pass's retrieve event, says how many values became nodes (n_d), how
 # many were absorbed as idle duplicates of a node's interval (n_c), and how
 # many waited for a later pass (n_d_prime).  Passes over the upper half run
-# on values shifted down by 2**15, so their next_min is shifted too.
+# on values shifted down by 2**15; the event's bias adds the shift back.
 def show_pass(event):
     if event.phase == "retrieve":
         tally = event.tally
+        next_min = None if tally.delta_prime is None else tally.delta_prime + event.bias
         print(
             f"pass {event.pass_index + 1}: n_d={tally.n_d} n_c={tally.n_c} "
-            f"deferred={tally.n_d_prime} next_min={tally.delta_prime}"
+            f"deferred={tally.n_d_prime} next_min={next_min}"
         )
 
 

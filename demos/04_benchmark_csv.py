@@ -15,7 +15,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from assocsort import ALGORITHMS, DatasetSpec, emit_csv, run_suite
+from assocsort import DatasetSpec, emit_csv, run_suite
 
 suite = [
     DatasetSpec("best_case", 1024, 32, seed=1),
@@ -24,7 +24,7 @@ suite = [
     DatasetSpec("full_universe", 128, 16, seed=4),
 ]
 
-records = run_suite(suite, ALGORITHMS, repetitions=3)
+records = run_suite(suite, repetitions=3)
 
 buf = io.StringIO()
 emit_csv(records, buf)

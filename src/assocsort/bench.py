@@ -9,12 +9,11 @@ Records go to CSV with the fixed header
 from __future__ import annotations
 
 import csv
-import io
 import time
 from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
+from .data_io import Source, opened
 from .engine import DuplicateDetected, WordSpec, sort
 from .generators import DatasetSpec, generate
 from .oracles import oracle_sort
@@ -82,23 +81,16 @@ def _value_range(values: list[int]) -> int:
     return max(values) - min(values) + 1 if values else 0
 
 
-def run_suite(
-    suite: list[DatasetSpec],
-    algorithms: Iterable[str] = ("assoc", "oracle_comparison"),
-    repetitions: int = 1,
-    counting_cap: int = DEFAULT_COUNTING_CAP,
-) -> list[BenchRecord]:
+def run_suite(suite: list[DatasetSpec], repetitions: int = 1) -> list[BenchRecord]:
     """Generate, time and verify every (dataset, algorithm, repetition) cell.
 
-    The clock wraps only the sort call; generation and verification are
-    outside it.  ``counting_baseline`` is skipped when the dataset's value
-    range exceeds ``counting_cap``.  Raises VerificationFailed (reporting the
+    Each dataset runs under every algorithm in ``ALGORITHMS``, in that
+    order.  The clock wraps only the sort call; generation and verification
+    are outside it.  ``counting_baseline`` is skipped when the dataset's
+    value range exceeds ``DEFAULT_COUNTING_CAP``.  Raises ValueError when
+    ``repetitions`` is below 1, and VerificationFailed (reporting the
     offending seed) the moment any run disagrees with the oracle.
     """
-    algorithms = list(algorithms)
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
 
@@ -108,8 +100,8 @@ def run_suite(
         expected = oracle_sort(data)
         m = _value_range(data)
         word = WordSpec(ds.w)
-        for name in algorithms:
-            if name == "counting_baseline" and m > counting_cap:
+        for name in ALGORITHMS:
+            if name == "counting_baseline" and m > DEFAULT_COUNTING_CAP:
                 continue
             for _ in range(repetitions):
                 buf = list(data)
@@ -153,26 +145,18 @@ def run_suite(
 _COLUMNS = [f.name for f in fields(BenchRecord)]
 
 
-def emit_csv(records: Iterable[BenchRecord], destination: str | Path | IO[str]) -> None:
+def emit_csv(records: Iterable[BenchRecord], destination: Source) -> None:
     """Write records as CSV: fixed header then one decimal-integer row each."""
-
-    def _write(fh: IO[str]) -> None:
+    with opened(destination, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_COLUMNS)
         for rec in records:
             writer.writerow([getattr(rec, col) for col in _COLUMNS])
 
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(destination)
 
-
-def load_csv(source: str | Path | IO[str]) -> list[BenchRecord]:
+def load_csv(source: Source) -> list[BenchRecord]:
     """Parse a CSV produced by emit_csv back into records (round-trip inverse)."""
-
-    def _read(fh: IO[str]) -> list[BenchRecord]:
+    with opened(source, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _COLUMNS:
@@ -188,10 +172,3 @@ def load_csv(source: str | Path | IO[str]) -> list[BenchRecord]:
                 )
             )
         return out
-
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return _read(fh)
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        return _read(source)
-    raise TypeError("source must be a path or a text stream")

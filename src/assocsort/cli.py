@@ -11,42 +11,26 @@ import argparse
 import sys
 import time
 
-from .bench import ALGORITHMS, VerificationFailed, emit_csv, run_suite
-from .data_io import FORMATS, ParseError, read_list, write_list
-from .engine import (
-    HOST_BITS,
-    CorruptState,
-    DuplicateDetected,
-    PhaseEvent,
-    ValueExceedsUniverse,
-    WordSpec,
-    sort,
-)
-from .generators import FAMILIES, DatasetSpec, InfeasibleRange
+from .bench import VerificationFailed, emit_csv, run_suite
+from .data_io import FORMATS, read_list, write_list
+from .engine import HOST_SPEC, CorruptState, PhaseEvent, WordSpec, sort
+from .generators import FAMILIES, DatasetSpec
 from .verification import run_all
 
 __all__ = ["main"]
 
 TRACE_WARN_SIZE = 256
 
-_DATA_ERRORS = (
-    ParseError,
-    ValueExceedsUniverse,
-    DuplicateDetected,
-    CorruptState,
-    InfeasibleRange,
-    VerificationFailed,
-    OSError,
-)
+# Every input error the library raises (ParseError, ValueExceedsUniverse,
+# DuplicateDetected, InfeasibleRange, bad argument values) is a ValueError.
+_DATA_ERRORS = (ValueError, CorruptState, VerificationFailed, OSError)
 
 
-def _word_bits(text: str) -> int:
-    value = int(text)
-    if not 2 <= value <= HOST_BITS:
-        raise argparse.ArgumentTypeError(
-            f"word bits must be in [2, {HOST_BITS}], got {value}"
-        )
-    return value
+def _word_spec(text: str) -> WordSpec:
+    try:
+        return WordSpec(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _int_list(text: str) -> list[int]:
@@ -73,61 +57,59 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_sort = sub.add_parser("sort", help="sort a value list from a file or stdin")
-    p_sort.add_argument("--input", default="-", help="input path, '-' for stdin")
+    width = argparse.ArgumentParser(add_help=False)
+    width.add_argument(
+        "--word-bits", dest="word", type=_word_spec, default=HOST_SPEC,
+        metavar="BITS", help="word width w; values must lie in [0, 2**w)",
+    )
+    source = argparse.ArgumentParser(add_help=False, parents=[width])
+    source.add_argument("--input", default="-", help="input path, '-' for stdin")
+    source.add_argument("--format", choices=FORMATS, default="text")
+
+    p_sort = sub.add_parser(
+        "sort", parents=[source], help="sort a value list from a file or stdin"
+    )
     p_sort.add_argument("--output", default="-", help="output path, '-' for stdout")
-    p_sort.add_argument("--format", choices=FORMATS, default="text")
-    p_sort.add_argument("--word-bits", type=_word_bits, default=HOST_BITS)
+    p_sort.set_defaults(run=_cmd_sort)
 
     p_verify = sub.add_parser("verify", help="run the self-check suites")
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.set_defaults(run=_cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="run benchmark suites and emit CSV")
+    p_bench = sub.add_parser(
+        "bench", parents=[width], help="run benchmark suites and emit CSV"
+    )
     p_bench.add_argument("--csv", required=True, help="destination CSV path")
     p_bench.add_argument("--families", type=_family_list, default=list(FAMILIES[:3]))
     p_bench.add_argument("--n", type=_int_list, default=[1024])
     p_bench.add_argument("--beta", type=_int_list, default=[2])
     p_bench.add_argument("--reps", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--word-bits", type=_word_bits, default=HOST_BITS)
+    p_bench.set_defaults(run=_cmd_bench)
 
-    p_trace = sub.add_parser("trace", help="print word-level state after each phase")
-    p_trace.add_argument("--input", default="-", help="input path, '-' for stdin")
-    p_trace.add_argument("--format", choices=FORMATS, default="text")
-    p_trace.add_argument("--word-bits", type=_word_bits, default=HOST_BITS)
+    p_trace = sub.add_parser(
+        "trace", parents=[source], help="print word-level state after each phase"
+    )
+    p_trace.set_defaults(run=_cmd_trace)
 
     return parser
 
 
-def _read_values(args: argparse.Namespace, word: WordSpec) -> list[int]:
+def _read_values(args: argparse.Namespace) -> list[int]:
     """Read the ``--input`` list (``-`` is stdin) in ``--format``."""
-    if args.input == "-":
-        src = sys.stdin if args.format == "text" else sys.stdin.buffer
-        return read_list(src, args.format, word)
-    with open(args.input, "r" if args.format == "text" else "rb") as src:
-        return read_list(src, args.format, word)
-
-
-def _fail(exc: Exception) -> int:
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return 1
+    source = sys.stdin.buffer if args.input == "-" else args.input
+    return read_list(source, args.format, args.word)
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
-    word = WordSpec(args.word_bits)
-    try:
-        values = _read_values(args, word)
-        report = sort(values, word)
-        if args.output == "-":
-            dest = sys.stdout if args.format == "text" else sys.stdout.buffer
-            write_list(values, dest, args.format)
-            if args.format == "text":
-                sys.stdout.flush()
-        else:
-            write_list(values, args.output, args.format)
-    except _DATA_ERRORS as exc:
-        return _fail(exc)
+    values = _read_values(args)
+    report = sort(values, args.word)
+    dest = args.output
+    if dest == "-":
+        dest = sys.stdout if args.format == "text" else sys.stdout.buffer
+    write_list(values, dest, args.format)
+    sys.stdout.flush()
     print(
         f"n={len(values)} passes={report.pass_count} nanos={report.elapsed_ns}",
         file=sys.stderr,
@@ -136,9 +118,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 0:
-        print("error: ValueError: trials must be non-negative", file=sys.stderr)
-        return 1
     started = time.perf_counter()
     results = run_all(args.trials, args.seed)
     if not results:
@@ -164,16 +143,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for n in args.n:
             for beta in betas:
                 suite.append(
-                    DatasetSpec(
-                        family, n, args.word_bits, beta=beta, seed=args.seed + index
-                    )
+                    DatasetSpec(family, n, args.word.w, beta=beta, seed=args.seed + index)
                 )
                 index += 1
-    try:
-        records = run_suite(suite, ALGORITHMS, repetitions=args.reps)
-        emit_csv(records, args.csv)
-    except _DATA_ERRORS as exc:
-        return _fail(exc)
+    records = run_suite(suite, repetitions=args.reps)
+    emit_csv(records, args.csv)
     print(f"wrote {len(records)} records to {args.csv}", file=sys.stderr)
     return 0
 
@@ -198,7 +172,7 @@ def _trace_hook(word: WordSpec):
         region = event.region
         print(
             f"pass {event.pass_index + 1} {event.phase}: offset={region.offset} "
-            f"length={region.length} delta={region.delta} "
+            f"length={region.length} delta={region.delta + event.bias} "
             f"n_d={tally.n_d} n_c={tally.n_c} n_out={tally.n_d_prime}"
         )
         for rel in range(region.length):
@@ -212,31 +186,25 @@ def _trace_hook(word: WordSpec):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    word = WordSpec(args.word_bits)
-    try:
-        values = _read_values(args, word)
-        if len(values) > TRACE_WARN_SIZE:
-            print(
-                f"warning: tracing {len(values)} words prints "
-                f"{len(values)}+ lines per phase",
-                file=sys.stderr,
-            )
-        sort(values, word, hook=_trace_hook(word))
-    except _DATA_ERRORS as exc:
-        return _fail(exc)
+    values = _read_values(args)
+    if len(values) > TRACE_WARN_SIZE:
+        print(
+            f"warning: tracing {len(values)} words prints "
+            f"{len(values)}+ lines per phase",
+            file=sys.stderr,
+        )
+    sort(values, args.word, hook=_trace_hook(args.word))
     print(f"sorted {len(values)} values", file=sys.stderr)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.subcommand == "sort":
-        return _cmd_sort(args)
-    if args.subcommand == "verify":
-        return _cmd_verify(args)
-    if args.subcommand == "bench":
-        return _cmd_bench(args)
-    return _cmd_trace(args)
+    try:
+        return args.run(args)
+    except _DATA_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

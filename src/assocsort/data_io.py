@@ -9,12 +9,13 @@ unsigned integers, no header, regardless of the configured word width
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterator, Union
 
 from .engine import ValueExceedsUniverse, WordSpec
 
-__all__ = ["FORMATS", "ParseError", "read_list", "write_list"]
+__all__ = ["FORMATS", "ParseError", "opened", "read_list", "write_list"]
 
 FORMATS = ("text", "binary")
 
@@ -23,6 +24,20 @@ Source = Union[str, Path, IO]
 
 class ParseError(ValueError):
     """Malformed input; the message pins the offending line or byte."""
+
+
+@contextmanager
+def opened(target: Source, mode: str, **kwargs) -> Iterator[IO]:
+    """Yield ``target`` itself if it is an open stream, else open the path.
+
+    A path is opened with ``mode`` and ``kwargs`` and closed on exit; a
+    stream is left open, since the caller owns it.
+    """
+    if isinstance(target, (str, Path)):
+        with open(target, mode, **kwargs) as fh:
+            yield fh
+    else:
+        yield target
 
 
 def _check_format(fmt: str) -> None:
@@ -60,14 +75,14 @@ def _parse_binary(blob: bytes) -> list[int]:
 
 
 def read_list(source: Source, fmt: str, spec: WordSpec) -> list[int]:
-    """Parse a value list from a path or open file, validating the universe."""
+    """Parse a value list from a path or open stream, validating the universe.
+
+    A text-format stream may yield bytes (such as ``sys.stdin.buffer``);
+    they are decoded before parsing.
+    """
     _check_format(fmt)
-    if isinstance(source, (str, Path)):
-        mode = "r" if fmt == "text" else "rb"
-        with open(source, mode) as fh:
-            blob = fh.read()
-    else:
-        blob = source.read()
+    with opened(source, "r" if fmt == "text" else "rb") as fh:
+        blob = fh.read()
     if fmt == "text":
         if isinstance(blob, bytes):
             blob = blob.decode()
@@ -88,9 +103,5 @@ def write_list(values: list[int], destination: Source, fmt: str) -> None:
             payload = struct.pack(f"<{len(values)}Q", *values)
         except struct.error as exc:
             raise ValueExceedsUniverse(f"value does not fit in 8 bytes: {exc}") from exc
-    if isinstance(destination, (str, Path)):
-        mode = "w" if fmt == "text" else "wb"
-        with open(destination, mode) as fh:
-            fh.write(payload)
-    else:
-        destination.write(payload)
+    with opened(destination, "w" if fmt == "text" else "wb") as fh:
+        fh.write(payload)

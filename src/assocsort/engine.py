@@ -26,7 +26,7 @@ the list around that boundary and sorts the halves separately.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 HOST_BITS = 64
@@ -166,6 +166,9 @@ class PhaseEvent:
     ``retrieve``; every pass, a one-word pass included, emits all four in
     that order, each with the pass's tally.
     ``data`` is the live backing list; hooks must treat it as read-only.
+    ``bias`` is 0, or ``2**(w-1)`` for passes over the upper half of a
+    split ``sort``, which run on values shifted down by that much: add it
+    to ``region.delta`` or ``tally.delta_prime`` to get input units.
     """
 
     phase: str
@@ -173,6 +176,7 @@ class PhaseEvent:
     region: Region
     tally: PassTally
     data: list[int]
+    bias: int = 0
 
 
 PhaseHook = Callable[[PhaseEvent], None]
@@ -523,7 +527,8 @@ def _sort(
     any are present the window is first split in place around ``2**(w-1)``
     (order inside the halves is irrelevant for distinct values), the high
     half is shifted down by ``2**(w-1)``, both halves are driven, and the
-    shift is undone.  The report covers both halves.
+    shift is undone.  The report covers both halves; the upper half's hook
+    events carry ``bias=2**(w-1)``.
     """
     started = time.perf_counter_ns()
     report = SortReport()
@@ -555,7 +560,8 @@ def _sort(
     if low_min is not None:
         _drive(data, spec, offset, k - offset, hook, report, low_min)
     if high_min is not None:
-        _drive(data, spec, k, end - k, hook, report, high_min - half)
+        shifted = None if hook is None else lambda ev: hook(replace(ev, bias=half))
+        _drive(data, spec, k, end - k, shifted, report, high_min - half)
         for idx in range(k, end):
             data[idx] += half
     report.elapsed_ns = time.perf_counter_ns() - started

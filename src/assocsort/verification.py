@@ -195,7 +195,12 @@ def check_clobber(_seed: int = 0) -> SuiteResult:
 
 
 def run_all(trials: int, seed: int) -> list[SuiteResult]:
-    """Every suite, scaled by the trial budget; empty when trials == 0."""
+    """Every suite, scaled by the trial budget; empty when trials == 0.
+
+    Raises ValueError for a negative budget.
+    """
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     if trials == 0:
         return []
     return [

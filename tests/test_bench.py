@@ -8,6 +8,7 @@ import pytest
 
 import assocsort.bench as bench_mod
 from assocsort import (
+    ALGORITHMS,
     BenchRecord,
     DatasetSpec,
     VerificationFailed,
@@ -29,50 +30,52 @@ class TestCountingSort:
         assert counting_sort([1000, 3, 500]) == [3, 500, 1000]
 
 
+def assoc(records):
+    """The in-place sorter's records, in suite order."""
+    return [r for r in records if r.algorithm == "assoc"]
+
+
 class TestRunSuite:
     def test_cardinality(self):
         suite = [DatasetSpec("uniform", 32, 16, beta=2, seed=1)]
-        records = run_suite(suite, ["assoc", "oracle_comparison"], repetitions=3)
-        assert len(records) == 6
-        assert {r.algorithm for r in records} == {"assoc", "oracle_comparison"}
+        records = run_suite(suite, repetitions=3)
+        assert len(records) == 9
+        assert [r.algorithm for r in records[::3]] == list(ALGORITHMS)
 
     def test_best_case_single_pass(self):
         suite = [DatasetSpec("best_case", 64, 16, seed=2)]
-        records = run_suite(suite, ["assoc"])
-        assert all(r.passes == 1 for r in records)
+        records = assoc(run_suite(suite))
+        assert records and all(r.passes == 1 for r in records)
 
     def test_adversarial_pass_per_value(self):
         suite = [DatasetSpec("adversarial", 64, 32, seed=0)]
-        records = run_suite(suite, ["assoc"])
+        records = assoc(run_suite(suite))
         assert records[0].passes == 64
 
     def test_baselines_report_no_passes(self):
         suite = [DatasetSpec("uniform", 16, 16, beta=1, seed=3)]
-        records = run_suite(suite, ["oracle_comparison", "counting_baseline"])
+        records = [r for r in run_suite(suite) if r.algorithm != "assoc"]
+        assert {r.algorithm for r in records} == {"oracle_comparison", "counting_baseline"}
         assert all(r.passes == 0 and r.words_scanned == 0 for r in records)
         assert all(r.nanos > 0 for r in records)
 
-    def test_counting_skipped_beyond_cap(self):
+    def test_counting_skipped_beyond_cap(self, monkeypatch):
+        monkeypatch.setattr(bench_mod, "DEFAULT_COUNTING_CAP", 100)
         suite = [DatasetSpec("uniform", 16, 32, beta=8, seed=3)]
-        records = run_suite(
-            suite, ["assoc", "counting_baseline"], counting_cap=100
-        )
-        assert {r.algorithm for r in records} == {"assoc"}
+        records = run_suite(suite)
+        assert {r.algorithm for r in records} == {"assoc", "oracle_comparison"}
 
     def test_deterministic_counters_across_reps(self):
         suite = [DatasetSpec("uniform", 128, 16, beta=4, seed=9)]
-        records = run_suite(suite, ["assoc"], repetitions=4)
+        records = assoc(run_suite(suite, repetitions=4))
+        assert len(records) == 4
         assert len({(r.passes, r.words_scanned) for r in records}) == 1
 
     def test_records_carry_actual_range(self):
         suite = [DatasetSpec("adversarial", 8, 16, seed=0)]
-        rec = run_suite(suite, ["assoc"])[0]
+        rec = assoc(run_suite(suite))[0]
         assert rec.m == 7 * 15 * 8 + 1
         assert rec.n == 8 and rec.w == 16
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            run_suite([], ["quicksort"])
 
     def test_verification_gate(self, monkeypatch):
         def broken(values):
@@ -80,8 +83,8 @@ class TestRunSuite:
 
         monkeypatch.setattr(bench_mod, "counting_sort", broken)
         suite = [DatasetSpec("uniform", 16, 16, beta=1, seed=123)]
-        with pytest.raises(VerificationFailed, match="seed=123"):
-            run_suite(suite, ["counting_baseline"])
+        with pytest.raises(VerificationFailed, match="counting_baseline .*seed=123"):
+            run_suite(suite)
 
 
 class TestCsv:
@@ -90,7 +93,7 @@ class TestCsv:
             DatasetSpec("uniform", 32, 16, beta=2, seed=1),
             DatasetSpec("best_case", 16, 16, seed=2),
         ]
-        return run_suite(suite, ["assoc", "oracle_comparison"], repetitions=2)
+        return run_suite(suite, repetitions=2)
 
     def test_header_only_when_empty(self):
         buf = io.StringIO()

@@ -87,9 +87,13 @@ class TestSort:
 
 
 class TestUsageErrors:
-    def test_word_bits_out_of_range(self):
+    def test_word_bits_out_of_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["sort", "--word-bits", "65"])
+        assert exc.value.code == 2
+        assert "word width must be in [2, 64]" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sort", "--word-bits", "x"])
         assert exc.value.code == 2
 
     def test_unknown_subcommand(self):
@@ -101,6 +105,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli(["bench", "--csv", "x.csv", "--families", "sorted_already"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--reps", "0"],
+        ["bench", "--n", "-5"],
+        ["bench", "--families", "uniform", "--beta", "0"],
+        ["verify", "--trials", "-1"],
+    ],
+    ids=["reps_0", "n_negative", "beta_0", "trials_negative"],
+)
+def test_bad_numbers_fail_with_one_line(tmp_path, capsys, argv):
+    if argv[0] == "bench":
+        argv = [*argv, "--csv", str(tmp_path / "x.csv")]
+    code = run_cli(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ValueError:"), err
 
 
 class TestVerify:
@@ -207,6 +230,20 @@ class TestTrace:
             "pass 1 retrieve: offset=0 length=1 delta=42 n_d=1 n_c=0 n_out=0"
         )
         assert lines[retrieve_at + 1] == "  [0] tag=0 low=42 output"
+
+    def test_upper_half_delta_in_input_units(self, tmp_path, capsys):
+        # 40000 >= 2**15 is sorted shifted down by 2**15; the header adds it back
+        src = tmp_path / "in.txt"
+        src.write_text("40000\n7\n")
+        code = run_cli(["trace", "--input", str(src), "--word-bits", "16"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "pass 1 practice: offset=0 length=1 delta=7 n_d=1 n_c=0 n_out=0" in lines
+        assert "pass 2 practice: offset=1 length=1 delta=40000 n_d=1 n_c=0 n_out=0" in lines
+        retrieve_at = lines.index(
+            "pass 2 retrieve: offset=1 length=1 delta=40000 n_d=1 n_c=0 n_out=0"
+        )
+        assert lines[retrieve_at + 1] == f"  [1] tag=0 low={40000 - 2**15} output"
 
     def test_duplicate_aborts_after_partial_trace(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

@@ -1,19 +1,22 @@
-"""The engine hooks the benchmark's traced run relies on.
+"""The engine and CLI hooks the benchmark's traced run relies on.
 
 ``perfbench/tracing.py`` wraps the four phase functions by module-global
-name and reads each call's ``WorkCounter`` deltas.  These tests load it by
-path, as the benchmark does not ship in the package, and check that its
-per-phase totals still account for the whole ``SortReport``.
+name and reads each call's ``WorkCounter`` deltas, and times the CLI's
+``read_list``, ``sort`` and ``write_list`` the same way.  These tests load
+it by path, as the benchmark does not ship in the package, and check that
+its per-phase totals still account for the whole ``SortReport`` and that
+every CLI call it wraps is still made through those names.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import struct
 from pathlib import Path
 
 import pytest
 
-from assocsort import DatasetSpec, WordSpec, engine, gen_adversarial, generate, sort
+from assocsort import DatasetSpec, WordSpec, cli, engine, gen_adversarial, generate, sort
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,3 +52,20 @@ def test_phase_totals_account_for_the_report(values, word, split):
         assert totals["calls"] == report.pass_count, name
     sweeps = len(values) * (2 if split else 1)  # validation, then the tag split
     assert sum(t["scanned"] for t in phases.values()) + sweeps == report.words_scanned
+
+
+def test_cli_timers_see_every_call(tmp_path):
+    values = generate(DatasetSpec("best_case", 64, 64, seed=1))
+    src = tmp_path / "in.bin"
+    dst = tmp_path / "out.bin"
+    src.write_bytes(struct.pack(f"<{len(values)}Q", *values))
+    names = ("read_list", "sort", "write_list")
+    timer = _load_tracing().CallTimer(cli, names)
+    with timer:
+        code = cli.main(
+            ["sort", "--format", "binary", "--input", str(src), "--output", str(dst)]
+        )
+    assert code == 0
+    assert dst.read_bytes() == struct.pack(f"<{len(values)}Q", *sorted(values))
+    assert all(timer.ns[name] > 0 for name in names), timer.ns
+    assert timer.last_report.total_sorted == len(values)
