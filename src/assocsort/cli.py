@@ -12,7 +12,7 @@ import sys
 import time
 
 from .bench import VerificationFailed, emit_csv, run_suite
-from .data_io import FORMATS, read_list, write_list
+from .data_io import FORMATS, opened, read_list, write_list
 from .engine import HOST_SPEC, CorruptState, PhaseEvent, WordSpec, sort
 from .generators import FAMILIES, DatasetSpec
 from .verification import run_all
@@ -146,8 +146,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     DatasetSpec(family, n, args.word.w, beta=beta, seed=args.seed + index)
                 )
                 index += 1
-    records = run_suite(suite, repetitions=args.reps)
-    emit_csv(records, args.csv)
+    # Open the destination first, so a path that cannot be written fails
+    # before the suite runs rather than after it.
+    with opened(args.csv, "w", newline="") as fh:
+        records = run_suite(suite, repetitions=args.reps)
+        emit_csv(records, fh)
     print(f"wrote {len(records)} records to {args.csv}", file=sys.stderr)
     return 0
 

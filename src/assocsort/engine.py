@@ -18,9 +18,11 @@ variables, so auxiliary memory is O(1) regardless of input size.
 
 Both entry points share one driver, which first validates the input in a
 single sweep that writes nothing.  The tag occupies bit ``w-1``, so
-:func:`sort_region` accepts values below ``2**(w-1)``; :func:`sort` accepts
-``[0, 2**w)`` and, when values at or above ``2**(w-1)`` are present, splits
-the list around that boundary and sorts the halves separately.
+:func:`sort_region` accepts values below ``2**(w-1)`` and runs the passes on
+the whole window.  :func:`sort` accepts ``[0, 2**w)`` and first splits the
+value range in place, MSD-radix style, until each bucket is narrow enough
+for the passes; a bucket that reaches the tag bit is shifted down by its
+own minimum.  The splitter keeps no stack of pending buckets.
 """
 
 from __future__ import annotations
@@ -144,10 +146,10 @@ class SortReport:
 
     ``pass_count`` passes ran and appended ``total_sorted`` words to the
     sorted prefix.  ``words_scanned`` counts words examined to classify or
-    route values: the initial validation/minimum sweep, the universe
-    partition sweep when the full-range path runs, and every cursor step of
-    each pass's practice sweep.  ``words_written`` counts every word
-    mutation in any phase.  Per-pass tallies reach callers only through the
+    route values: the validation sweep, the splitter's partition sweeps and
+    bucket scans, and every cursor step of each pass's practice sweep.
+    ``words_written`` counts every word mutation, the splitter's swaps and
+    shifts included.  Per-pass tallies reach callers only through the
     hook, so the report stays O(1) whatever the pass count.
     """
 
@@ -166,9 +168,9 @@ class PhaseEvent:
     ``retrieve``; every pass, a one-word pass included, emits all four in
     that order, each with the pass's tally.
     ``data`` is the live backing list; hooks must treat it as read-only.
-    ``bias`` is 0, or ``2**(w-1)`` for passes over the upper half of a
-    split ``sort``, which run on values shifted down by that much: add it
-    to ``region.delta`` or ``tally.delta_prime`` to get input units.
+    ``bias`` is the shift of a ``sort`` bucket reaching ``2**(w-1)``, whose
+    passes run on values less its minimum (0 otherwise): add it to
+    ``region.delta`` or ``tally.delta_prime`` to get input units.
     """
 
     phase: str
@@ -454,15 +456,13 @@ def run_pass(
 
 def _validate_bounds(
     data: list[int], offset: int, length: int, spec: WordSpec, limit: int
-) -> tuple[int | None, int | None]:
+) -> tuple[int, int]:
     """Check every value of the window is an int in ``[0, limit)``.
 
-    One sweep; returns the minimum below the tag bit and the minimum at or
-    above it (None for an empty side).  Raises before any word is written.
+    One sweep; returns the window's ``(min, max)``, ``(limit, -1)`` when it
+    is empty.  Raises before any word is written.
     """
-    half = spec.tag_mask
-    low_min: int | None = None
-    high_min: int | None = None
+    lo, hi = limit, -1
     for idx in range(offset, offset + length):
         v = data[idx]
         if type(v) is not int:
@@ -471,12 +471,11 @@ def _validate_bounds(
             raise ValueExceedsUniverse(
                 f"value {v} at index {idx} is outside [0, 2^{limit.bit_length() - 1})"
             )
-        if v >= half:
-            if high_min is None or v < high_min:
-                high_min = v
-        elif low_min is None or v < low_min:
-            low_min = v
-    return low_min, high_min
+        if v < lo:
+            lo = v
+        if v > hi:
+            hi = v
+    return lo, hi
 
 
 def _drive(
@@ -486,21 +485,28 @@ def _drive(
     length: int,
     hook: PhaseHook | None,
     report: SortReport,
-    first_delta: int,
+    lo: int,
+    hi: int,
 ) -> None:
     """Run passes over ``data[offset:offset+length]`` until it is sorted.
 
-    ``first_delta`` is the window minimum (already known from validation);
-    later passes reuse the deferred minimum tracked during practicing, so no
-    further min scans are needed.  Values must already be validated.
+    ``lo`` and ``hi`` are the window's known bounds; later passes reuse the
+    deferred minimum tracked during practicing, so no min scans are needed.
+    A window reaching the tag bit (``hi - lo`` stays below it) is shifted
+    down by ``lo`` and back; its hook events carry ``bias=lo``.
     """
+    bias = lo if hi >= spec.tag_mask else 0
+    events = hook if hook is None or not bias else lambda ev: hook(replace(ev, bias=bias))
+    if bias:
+        for idx in range(offset, offset + length):
+            data[idx] -= bias
     work = WorkCounter()
     pos = offset
     remaining = length
-    delta = first_delta
+    delta = lo - bias
     while remaining > 0:
         region = Region(pos, remaining, delta)
-        tally = run_pass(data, region, spec, work, hook, report.pass_count)
+        tally = run_pass(data, region, spec, work, events, report.pass_count)
         report.pass_count += 1
         report.total_sorted += tally.sorted_count
         pos += tally.sorted_count
@@ -509,8 +515,34 @@ def _drive(
             if tally.delta_prime is None:
                 raise CorruptState(f"{remaining} values left but none was deferred")
             delta = tally.delta_prime
+    if bias:
+        for idx in range(offset, offset + length):
+            data[idx] += bias
     report.words_scanned += work.scanned
-    report.words_written += work.written
+    report.words_written += work.written + (2 * length if bias else 0)
+
+
+def _split_low(data: list[int], start: int, stop: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """Partition ``data[start:stop]`` in place on the top bit where ``lo`` and ``hi`` differ.
+
+    Returns ``(boundary, low_max, swaps)``: the low side is
+    ``data[start:boundary]``, with minimum ``lo`` and maximum ``low_max``.
+    """
+    bit = 1 << ((lo ^ hi).bit_length() - 1)
+    i, j = start, stop - 1
+    low_max, swaps = lo, 0
+    while i <= j:
+        v = data[i]
+        if not v & bit:
+            if v > low_max:
+                low_max = v
+            i += 1
+        elif data[j] & bit:
+            j -= 1
+        else:
+            data[i], data[j] = data[j], v
+            swaps += 1
+    return i, low_max, swaps
 
 
 def _sort(
@@ -523,47 +555,44 @@ def _sort(
 ) -> SortReport:
     """Validate ``data[offset:offset+length]`` against ``limit``, then sort it.
 
-    Values at or above ``2**(w-1)`` would collide with the tag bit, so when
-    any are present the window is first split in place around ``2**(w-1)``
-    (order inside the halves is irrelevant for distinct values), the high
-    half is shifted down by ``2**(w-1)``, both halves are driven, and the
-    shift is undone.  The report covers both halves; the upper half's hook
-    events carry ``bias=2**(w-1)``.
+    ``sort_region`` drives the window whole.  ``sort`` first runs a
+    stackless binary MSD splitter: a bucket of length L spanning at least
+    ``2**(w-1)`` or ``(w-1)*L**2`` is split with :func:`_split_low` and the
+    loop goes on with its low side; a narrower one is driven, since there
+    the paper's passes cost no more than one pass per value.  The bucket
+    after a driven one is found again from the data: it is the run of words
+    agreeing with its first word ``x`` above ``b``, the top bit where ``x``
+    and the driven maximum differ, for the split that parted them was on
+    ``b`` and every value it split agrees above it.
     """
     started = time.perf_counter_ns()
     report = SortReport()
-    low_min, high_min = _validate_bounds(data, offset, length, spec, limit)
+    lo, hi = _validate_bounds(data, offset, length, spec, limit)
     report.words_scanned += length
-    half = spec.tag_mask
-    end = offset + length
-    k = end  # the high half is data[k:end]
-    if high_min is not None:
-        # Unstable two-pointer split around the tag boundary.
-        i, j = offset, end - 1
-        swaps = 0
-        while True:
-            while i <= j and data[i] < half:
-                i += 1
-            while i <= j and data[j] >= half:
-                j -= 1
-            if i > j:
-                break
-            data[i], data[j] = data[j], data[i]
-            swaps += 1
-            i += 1
-            j -= 1
-        k = i
-        report.words_scanned += length
-        report.words_written += 2 * swaps + 2 * (end - k)
-        for idx in range(k, end):
-            data[idx] -= half
-    if low_min is not None:
-        _drive(data, spec, offset, k - offset, hook, report, low_min)
-    if high_min is not None:
-        shifted = None if hook is None else lambda ev: hook(replace(ev, bias=half))
-        _drive(data, spec, k, end - k, shifted, report, high_min - half)
-        for idx in range(k, end):
-            data[idx] += half
+    split = limit > spec.tag_mask
+    pos = offset
+    stop = end = offset + length
+    while pos < end:
+        size = stop - pos
+        if split and hi - lo >= min(spec.tag_mask, (spec.w - 1) * size * size):
+            stop, hi, swaps = _split_low(data, pos, stop, lo, hi)
+            report.words_scanned += size
+            report.words_written += 2 * swaps
+            continue
+        _drive(data, spec, pos, size, hook, report, lo, hi)
+        pos = stop
+        if pos < end:
+            b = (data[pos - 1] ^ data[pos]).bit_length() - 1
+            prefix = data[pos] >> b
+            lo, hi = limit, -1
+            while stop < end and data[stop] >> b == prefix:
+                v = data[stop]
+                if v < lo:
+                    lo = v
+                if v > hi:
+                    hi = v
+                stop += 1
+            report.words_scanned += stop - pos
     report.elapsed_ns = time.perf_counter_ns() - started
     return report
 
@@ -596,7 +625,8 @@ def sort(
 ) -> SortReport:
     """Sort a list of distinct ints drawn from the full ``[0, 2**w)`` universe.
 
-    Values at or above ``2**(w-1)`` are sorted after an in-place split
-    around that boundary; the report covers both halves.
+    The value range is split in place into buckets narrow enough for the
+    passes, and values at or above ``2**(w-1)`` are sorted shifted down by
+    their bucket's minimum; the report covers every bucket and sweep.
     """
     return _sort(data, spec, 0, len(data), hook, spec.universe)

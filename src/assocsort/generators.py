@@ -9,7 +9,7 @@ Families:
 * ``best_case``: n distinct values inside one pass interval; sorts in a
   single pass.
 * ``full_universe``: n distinct values from the whole ``[0, 2**w)`` range,
-  exercising the tag-boundary split in :func:`assocsort.engine.sort`.
+  exercising the range splitter in :func:`assocsort.engine.sort`.
 
 All generators are deterministic functions of their parameters and seed.
 """

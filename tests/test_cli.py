@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from assocsort import load_csv
+from assocsort import cli, load_csv
 from assocsort.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -194,6 +194,24 @@ class TestBench:
         assert code == 1
         assert "InfeasibleRange" in capsys.readouterr().err
 
+    def test_unwritable_csv_fails_before_the_suite_runs(self, tmp_path, capsys, monkeypatch):
+        def run_suite(*args, **kwargs):
+            raise AssertionError("the suite ran before --csv was opened")
+
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        code = run_cli(
+            [
+                "bench",
+                "--csv", str(tmp_path / "missing" / "x.csv"),
+                "--families", "best_case,uniform",
+                "--n", "64",
+                "--word-bits", "32",
+            ]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: FileNotFoundError:"), err
+
 
 class TestTrace:
     def test_phase_lines(self, tmp_path, capsys):
@@ -232,7 +250,8 @@ class TestTrace:
         assert lines[retrieve_at + 1] == "  [0] tag=0 low=42 output"
 
     def test_upper_half_delta_in_input_units(self, tmp_path, capsys):
-        # 40000 >= 2**15 is sorted shifted down by 2**15; the header adds it back
+        # 40000 >= 2**15 is sorted shifted down by its bucket's minimum,
+        # 40000 itself; the header adds that bias back, the low bits do not
         src = tmp_path / "in.txt"
         src.write_text("40000\n7\n")
         code = run_cli(["trace", "--input", str(src), "--word-bits", "16"])
@@ -243,7 +262,7 @@ class TestTrace:
         retrieve_at = lines.index(
             "pass 2 retrieve: offset=1 length=1 delta=40000 n_d=1 n_c=0 n_out=0"
         )
-        assert lines[retrieve_at + 1] == f"  [1] tag=0 low={40000 - 2**15} output"
+        assert lines[retrieve_at + 1] == "  [1] tag=0 low=0 output"
 
     def test_duplicate_aborts_after_partial_trace(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
