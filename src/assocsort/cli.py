@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_values(args: argparse.Namespace) -> list[int]:
     """Read the ``--input`` list (``-`` is stdin) in ``--format``."""
     source = sys.stdin.buffer if args.input == "-" else args.input
-    return read_list(source, args.format, args.word)
+    return read_list(source, args.format)
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:

@@ -1,9 +1,10 @@
 """Reading and writing integer lists in text and binary form.
 
-Text: one non-negative decimal integer per line, no blank lines, trailing
-newline optional on read and always written.  Binary: little-endian 8-byte
-unsigned integers, no header, regardless of the configured word width
-(values are validated against the width after decoding).
+Text: one non-negative decimal integer per line, ASCII digits only, no
+blank lines, trailing newline optional on read and always written.
+Binary: little-endian 8-byte unsigned integers, no header, whatever the
+word width.  Only these format rules are checked here; whether a value
+fits the word is the engine's check, made before the sort writes anything.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Union
 
-from .engine import ValueExceedsUniverse, WordSpec
+from .engine import ValueExceedsUniverse
 
 __all__ = ["FORMATS", "ParseError", "opened", "read_list", "write_list"]
 
@@ -45,24 +46,18 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def _validate(values: list[int], spec: WordSpec) -> list[int]:
-    limit = spec.universe
-    for idx, v in enumerate(values):
-        if v >= limit:
-            raise ValueExceedsUniverse(
-                f"value {v} at index {idx} does not fit in {spec.w} bits"
-            )
-    return values
-
-
 def _parse_text(blob: str) -> list[int]:
     values = []
     for lineno, line in enumerate(blob.splitlines(), start=1):
-        if not line or not line.isdigit():
+        # isdigit() alone admits non-ASCII digits such as "²" and "٣".
+        if not (line.isascii() and line.isdigit()):
             raise ParseError(
                 f"line {lineno}: expected a non-negative decimal integer, got {line!r}"
             )
-        values.append(int(line))
+        try:
+            values.append(int(line))
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"line {lineno}: {exc}") from None
     return values
 
 
@@ -74,9 +69,10 @@ def _parse_binary(blob: bytes) -> list[int]:
     return list(struct.unpack(f"<{len(blob) // 8}Q", blob))
 
 
-def read_list(source: Source, fmt: str, spec: WordSpec) -> list[int]:
-    """Parse a value list from a path or open stream, validating the universe.
+def read_list(source: Source, fmt: str) -> list[int]:
+    """Parse a value list from a path or open stream.
 
+    Values are not checked against any word width; ``sort`` does that.
     A text-format stream may yield bytes (such as ``sys.stdin.buffer``);
     they are decoded before parsing.
     """
@@ -86,8 +82,8 @@ def read_list(source: Source, fmt: str, spec: WordSpec) -> list[int]:
     if fmt == "text":
         if isinstance(blob, bytes):
             blob = blob.decode()
-        return _validate(_parse_text(blob), spec)
-    return _validate(_parse_binary(blob), spec)
+        return _parse_text(blob)
+    return _parse_binary(blob)
 
 
 def write_list(values: list[int], destination: Source, fmt: str) -> None:

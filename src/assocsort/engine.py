@@ -149,8 +149,9 @@ class SortReport:
     route values: the validation sweep, the splitter's partition sweeps and
     bucket scans, and every cursor step of each pass's practice sweep.
     ``words_written`` counts every word mutation, the splitter's swaps and
-    shifts included.  Per-pass tallies reach callers only through the
-    hook, so the report stays O(1) whatever the pass count.
+    shifts included.  Both are copied once, at the end, from the one
+    WorkCounter the sort adds every sweep, phase and shift to.  Per-pass
+    tallies reach callers only through the hook, so the report stays O(1).
     """
 
     pass_count: int = 0
@@ -185,7 +186,7 @@ PhaseHook = Callable[[PhaseEvent], None]
 
 
 class WorkCounter:
-    """Mutable scanned/written tallies shared across phase calls."""
+    """Mutable scanned/written tallies, added to where the work is done."""
 
     __slots__ = ("scanned", "written")
 
@@ -485,6 +486,7 @@ def _drive(
     length: int,
     hook: PhaseHook | None,
     report: SortReport,
+    work: WorkCounter,
     lo: int,
     hi: int,
 ) -> None:
@@ -493,14 +495,15 @@ def _drive(
     ``lo`` and ``hi`` are the window's known bounds; later passes reuse the
     deferred minimum tracked during practicing, so no min scans are needed.
     A window reaching the tag bit (``hi - lo`` stays below it) is shifted
-    down by ``lo`` and back; its hook events carry ``bias=lo``.
+    down by ``lo`` and back; its hook events carry ``bias=lo``.  Passes
+    count in ``report``, scans and writes (shifts included) in ``work``.
     """
     bias = lo if hi >= spec.tag_mask else 0
     events = hook if hook is None or not bias else lambda ev: hook(replace(ev, bias=bias))
     if bias:
         for idx in range(offset, offset + length):
             data[idx] -= bias
-    work = WorkCounter()
+        work.written += length
     pos = offset
     remaining = length
     delta = lo - bias
@@ -518,8 +521,7 @@ def _drive(
     if bias:
         for idx in range(offset, offset + length):
             data[idx] += bias
-    report.words_scanned += work.scanned
-    report.words_written += work.written + (2 * length if bias else 0)
+        work.written += length
 
 
 def _split_low(data: list[int], start: int, stop: int, lo: int, hi: int) -> tuple[int, int, int]:
@@ -567,8 +569,9 @@ def _sort(
     """
     started = time.perf_counter_ns()
     report = SortReport()
+    work = WorkCounter()
     lo, hi = _validate_bounds(data, offset, length, spec, limit)
-    report.words_scanned += length
+    work.scanned += length
     split = limit > spec.tag_mask
     pos = offset
     stop = end = offset + length
@@ -576,10 +579,10 @@ def _sort(
         size = stop - pos
         if split and hi - lo >= min(spec.tag_mask, (spec.w - 1) * size * size):
             stop, hi, swaps = _split_low(data, pos, stop, lo, hi)
-            report.words_scanned += size
-            report.words_written += 2 * swaps
+            work.scanned += size
+            work.written += 2 * swaps
             continue
-        _drive(data, spec, pos, size, hook, report, lo, hi)
+        _drive(data, spec, pos, size, hook, report, work, lo, hi)
         pos = stop
         if pos < end:
             b = (data[pos - 1] ^ data[pos]).bit_length() - 1
@@ -592,7 +595,9 @@ def _sort(
                 if v > hi:
                     hi = v
                 stop += 1
-            report.words_scanned += stop - pos
+            work.scanned += stop - pos
+    report.words_scanned = work.scanned
+    report.words_written = work.written
     report.elapsed_ns = time.perf_counter_ns() - started
     return report
 

@@ -115,8 +115,6 @@ def clobber_cases() -> list[tuple[int, list[int]]]:
     ]:
         wm1 = w - 1
         values = [0, q * wm1] + [Q * wm1 + k for k in range(c)]
-        assert max(values) < (1 << (w - 1))
-        assert max(values) < wm1 * len(values), "must practice in one pass"
         cases.append((w, values))
     return cases
 

@@ -57,6 +57,20 @@ class TestSort:
         assert code == 1
         assert "ValueExceedsUniverse" in capsys.readouterr().err
 
+    def test_binary_value_exceeds_universe_writes_nothing(self, tmp_path, capsys):
+        # The engine's bounds sweep is the only width check, and it runs
+        # before any word or output file is written.
+        src = tmp_path / "in.bin"
+        dst = tmp_path / "out.bin"
+        src.write_bytes((1).to_bytes(8, "little") + (300).to_bytes(8, "little"))
+        code = run_cli(
+            ["sort", "--input", str(src), "--output", str(dst), "--format", "binary", "--word-bits", "8"]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ValueExceedsUniverse:"), err
+        assert not dst.exists()
+
     def test_parse_error(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
         src.write_text("1\nnope\n")
@@ -271,6 +285,16 @@ class TestTrace:
         captured = capsys.readouterr()
         assert code == 1
         assert "DuplicateDetected" in captured.err
+
+    def test_value_exceeds_universe_before_any_pass(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("3\n9\n16\n")
+        code = run_cli(["trace", "--input", str(src), "--word-bits", "4"])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ValueExceedsUniverse:"), err
+        assert not any(line.startswith("pass ") for line in captured.out.splitlines())
 
     def test_large_input_warns(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

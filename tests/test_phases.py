@@ -25,8 +25,10 @@ from assocsort import (
     retrieve_sorted,
     run_pass,
     store_records,
+    sort_region,
     verify_pass_tally,
 )
+from assocsort.verification import clobber_cases
 
 W8 = WordSpec(8)
 TAG = W8.tag_mask
@@ -223,6 +225,16 @@ class TestRetrieve:
         partition_idles(data, region, tally, W8)
         retrieve_sorted(data, region, tally, W8)
         assert data == [35, 42, 43, 44, 45, 46, 47]
+
+    @pytest.mark.parametrize(("w", "values"), clobber_cases())
+    def test_clobber_cases_fit_one_pass(self, w, values):
+        # The verify suite's cases only pose the hazard if each one lies
+        # below the tag and is practiced in a single pass.
+        spec = WordSpec(w)
+        assert max(values) < spec.tag_mask
+        data = list(values)
+        assert sort_region(data, spec).pass_count == 1
+        assert data == sorted(values)
 
     def test_single_value_through_all_phases(self):
         data = [13]
