@@ -1,7 +1,9 @@
 """Reading and writing integer lists in text and binary form.
 
 Text: one non-negative decimal integer per line, ASCII digits only, no
-blank lines, trailing newline optional on read and always written.
+blank lines, trailing newline optional on read and always written.  A line
+ends only at LF, CR or CR LF; text is parsed as bytes, so any other byte in
+a line, including one that is not UTF-8, is a parse error naming that line.
 Binary: little-endian 8-byte unsigned integers, no header, whatever the
 word width.  Only these format rules are checked here; whether a value
 fits the word is the engine's check, made before the sort writes anything.
@@ -46,13 +48,15 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def _parse_text(blob: str) -> list[int]:
+def _parse_text(blob: bytes) -> list[int]:
     values = []
+    # bytes.splitlines() breaks only at \n, \r and \r\n, and bytes.isdigit()
+    # admits only the ASCII digits.
     for lineno, line in enumerate(blob.splitlines(), start=1):
-        # isdigit() alone admits non-ASCII digits such as "²" and "٣".
-        if not (line.isascii() and line.isdigit()):
+        if not line.isdigit():
+            text = line.decode(errors="backslashreplace")
             raise ParseError(
-                f"line {lineno}: expected a non-negative decimal integer, got {line!r}"
+                f"line {lineno}: expected a non-negative decimal integer, got {text!r}"
             )
         try:
             values.append(int(line))
@@ -73,17 +77,16 @@ def read_list(source: Source, fmt: str) -> list[int]:
     """Parse a value list from a path or open stream.
 
     Values are not checked against any word width; ``sort`` does that.
-    A text-format stream may yield bytes (such as ``sys.stdin.buffer``);
-    they are decoded before parsing.
+    A path is read in binary mode in both formats.  A stream may yield
+    bytes (such as ``sys.stdin.buffer``) or ``str``, which is encoded to
+    UTF-8 before parsing.
     """
     _check_format(fmt)
-    with opened(source, "r" if fmt == "text" else "rb") as fh:
+    with opened(source, "rb") as fh:
         blob = fh.read()
-    if fmt == "text":
-        if isinstance(blob, bytes):
-            blob = blob.decode()
-        return _parse_text(blob)
-    return _parse_binary(blob)
+    if isinstance(blob, str):
+        blob = blob.encode()
+    return _parse_text(blob) if fmt == "text" else _parse_binary(blob)
 
 
 def write_list(values: list[int], destination: Source, fmt: str) -> None:

@@ -35,6 +35,7 @@ HOST_BITS = 64
 
 __all__ = [
     "HOST_BITS",
+    "HOST_SPEC",
     "WordSpec",
     "Region",
     "PassTally",

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 VERIFY_WIDTHS = (4, 8, 16, 64)
+MAX_SAMPLE_N = 4096  # largest input sample_case draws
 
 
 @dataclass
@@ -66,7 +67,7 @@ def _log_uniform(rng: random.Random, cap: int) -> int:
     return min(cap, int(cap ** rng.random()))
 
 
-def sample_case(trial_seed: int, max_n: int = 4096) -> tuple[WordSpec, DatasetSpec]:
+def sample_case(trial_seed: int) -> tuple[WordSpec, DatasetSpec]:
     """Deterministic mixed-family trial: width, family and size drawn per seed.
 
     Sizes are log-uniform up to family-specific feasibility caps (small
@@ -83,13 +84,13 @@ def sample_case(trial_seed: int, max_n: int = 4096) -> tuple[WordSpec, DatasetSp
     beta = 1
     if family == "uniform":
         beta = rng.choice((1, 2, 4, 8))
-        cap = min(max_n, word.tag_mask // (beta * (w - 1)))
+        cap = min(MAX_SAMPLE_N, word.tag_mask // (beta * (w - 1)))
     elif family == "best_case":
-        cap = min(max_n, word.tag_mask)
+        cap = min(MAX_SAMPLE_N, word.tag_mask)
     elif family == "full_universe":
-        cap = min(max_n, 256, word.universe)
+        cap = min(256, word.universe)
     else:
-        cap = min(max_n, 256, _max_adversarial_n(word, 256))
+        cap = min(256, _max_adversarial_n(word, 256))
     n = _log_uniform(rng, cap) if rng.random() > 0.02 else 0
     return word, DatasetSpec(family, n, w, beta=beta, seed=trial_seed)
 
@@ -174,7 +175,7 @@ def check_tally_oracle(trials: int, seed: int) -> SuiteResult:
     return result
 
 
-def check_clobber(_seed: int = 0) -> SuiteResult:
+def check_clobber() -> SuiteResult:
     """Hazard family: expansion spans crossing a pending tag must sort right."""
     result = SuiteResult("clobber_regression", 0, 0)
     # The bare run, driven with an explicit delta so the nodes sit high.
@@ -205,5 +206,5 @@ def run_all(trials: int, seed: int) -> list[SuiteResult]:
         check_oracle_equivalence(trials, seed),
         check_pass_counts(seed),
         check_tally_oracle(max(1, min(trials, 200)), seed),
-        check_clobber(seed),
+        check_clobber(),
     ]

@@ -78,6 +78,14 @@ class TestSort:
         assert code == 1
         assert "ParseError" in capsys.readouterr().err
 
+    def test_non_utf8_text_names_the_line(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"1\n\xff\n")
+        code = run_cli(["sort", "--input", str(src), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ParseError: line 2"), err
+
     def test_empty_input(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
         dst = tmp_path / "out.txt"

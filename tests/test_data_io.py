@@ -25,6 +25,12 @@ class TestText:
     def test_read_without_trailing_newline(self):
         assert read_list(io.StringIO("3\n1\n2"), "text") == [3, 1, 2]
 
+    def test_crlf_and_cr_end_lines(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"3\r\n1\r\n2\r\n")
+        assert read_list(path, "text") == [3, 1, 2]
+        assert read_list(io.BytesIO(b"3\r1\r2"), "text") == [3, 1, 2]
+
     def test_empty(self):
         assert read_list(io.StringIO(""), "text") == []
 
@@ -49,11 +55,15 @@ class TestText:
             read_list(io.StringIO("-4\n"), "text")
 
     def test_only_ascii_digits_of_convertible_length(self):
-        # str.isdigit() passes all three: int() reads "\u0663" as 3 and
-        # raises a bare ValueError on the other two.
-        for line in ("\u00b2", "\u0663", "9" * 4301):
+        # str.isdigit() passes the first three: int() reads "\u0663" as 3
+        # and raises a bare ValueError on the other two.  str.splitlines()
+        # would split "1\x0c2" in two, and the non-UTF-8 byte must fail as
+        # a ParseError naming its line, not as a UnicodeDecodeError.
+        lines = ("\u00b2", "\u0663", "9" * 4301, "1\x0c2")
+        sources = [io.StringIO(f"3\n{line}\n") for line in lines]
+        for source in [*sources, io.BytesIO(b"3\n\xff\n")]:
             with pytest.raises(ParseError, match="line 2"):
-                read_list(io.StringIO(f"3\n{line}\n"), "text")
+                read_list(source, "text")
 
     def test_negative_write_rejected(self):
         with pytest.raises(ValueError):

@@ -16,3 +16,19 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_package_exports_each_module_list_once():
+    import assocsort
+    from assocsort import bench, data_io, engine, generators, oracles
+
+    modules = (bench, data_io, engine, generators, oracles)
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
+    expected = [name for module in modules for name in module.__all__] + ["__version__"]
+    assert assocsort.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    namespace: dict = {}
+    exec("from assocsort import *", namespace)
+    assert set(assocsort.__all__) <= namespace.keys()
