@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import MutableSequence
 
 from .bench import VerificationFailed, emit_csv, run_suite
 from .data_io import FORMATS, opened, read_list, write_list
@@ -96,8 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_values(args: argparse.Namespace) -> list[int]:
-    """Read the ``--input`` list (``-`` is stdin) in ``--format``."""
+def _read_values(args: argparse.Namespace) -> MutableSequence[int]:
+    """Read the ``--input`` values (``-`` is stdin) in ``--format``.
+
+    Binary input comes back as a packed ``array("Q")``, which ``sort``
+    orders in place and ``write_list`` writes from its own buffer.
+    """
     source = sys.stdin.buffer if args.input == "-" else args.input
     return read_list(source, args.format)
 

@@ -7,11 +7,21 @@ a line, including one that is not UTF-8, is a parse error naming that line.
 Binary: little-endian 8-byte unsigned integers, no header, whatever the
 word width.  Only these format rules are checked here; whether a value
 fits the word is the engine's check, made before the sort writes anything.
+
+Text reads to a ``list``, since a text value may be too wide for any
+machine word and must reach that check.  Binary reads to a packed
+``array("Q")`` in host byte order: one 8-byte word per value, which the
+engine sorts in place, so a binary sort holds the file's size and little
+more.
 """
 
 from __future__ import annotations
 
-import struct
+import os
+import stat
+import sys
+from array import array
+from collections.abc import MutableSequence, Sequence
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Union
@@ -65,42 +75,91 @@ def _parse_text(blob: bytes) -> list[int]:
     return values
 
 
-def _parse_binary(blob: bytes) -> list[int]:
-    if len(blob) % 8:
+def _check_records(size: int) -> int:
+    """Number of 8-byte records in ``size`` bytes; a partial one is a ParseError."""
+    if size % 8:
         raise ParseError(
-            f"truncated record: {len(blob) % 8} stray bytes at offset {len(blob) - len(blob) % 8}"
+            f"truncated record: {size % 8} stray bytes at offset {size - size % 8}"
         )
-    return list(struct.unpack(f"<{len(blob) // 8}Q", blob))
+    return size // 8
 
 
-def read_list(source: Source, fmt: str) -> list[int]:
+def _swap_if_big(values: array) -> array:
+    """Swap ``values`` in place between host and file (little-endian) order."""
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
+def _read_file(fh: IO, size: int) -> array:
+    """Read a regular file of ``size`` bytes straight into an ``array("Q")``.
+
+    The array is allocated once and filled through its own buffer, so no
+    second full-size copy of the file exists.
+    """
+    values = array("Q", [0]) * _check_records(size)
+    with memoryview(values) as words, words.cast("B") as raw:
+        got = fh.readinto(raw)
+    if got != size:
+        raise ParseError(f"file ended after {got} of {size} bytes")
+    return _swap_if_big(values)
+
+
+def _parse_binary(blob: bytes) -> array:
+    _check_records(len(blob))
+    values = array("Q")
+    values.frombytes(blob)
+    return _swap_if_big(values)
+
+
+def read_list(source: Source, fmt: str) -> MutableSequence[int]:
     """Parse a value list from a path or open stream.
 
-    Values are not checked against any word width; ``sort`` does that.
-    A path is read in binary mode in both formats.  A stream may yield
-    bytes (such as ``sys.stdin.buffer``) or ``str``, which is encoded to
-    UTF-8 before parsing.
+    Text gives a ``list``; binary gives an ``array("Q")`` in host byte
+    order, which the engine sorts in place like a list.  Values are not
+    checked against any word width; ``sort`` does that.  A path is read in
+    binary mode in both formats; a binary path naming a regular file is
+    sized first and read straight into the array.  A stream, or a path
+    naming a pipe, is read whole.  A stream may yield bytes (such as
+    ``sys.stdin.buffer``) or ``str``, which is encoded to UTF-8 before
+    parsing.
     """
     _check_format(fmt)
     with opened(source, "rb") as fh:
+        if fmt == "binary" and isinstance(source, (str, Path)):
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode):
+                return _read_file(fh, info.st_size)
         blob = fh.read()
     if isinstance(blob, str):
         blob = blob.encode()
     return _parse_text(blob) if fmt == "text" else _parse_binary(blob)
 
 
-def write_list(values: list[int], destination: Source, fmt: str) -> None:
-    """Write values so that read_list reproduces them exactly."""
+def _packed(values: Sequence[int]) -> array:
+    """``values`` as an ``array("Q")`` in file order, copied only when needed."""
+    if isinstance(values, array) and values.typecode == "Q":
+        # Swap a copy, never the caller's array.
+        return _swap_if_big(array("Q", values)) if sys.byteorder == "big" else values
+    try:
+        return _swap_if_big(array("Q", values))
+    except (OverflowError, TypeError) as exc:
+        raise ValueExceedsUniverse(f"value does not fit in 8 bytes: {exc}") from exc
+
+
+def write_list(values: Sequence[int], destination: Source, fmt: str) -> None:
+    """Write values so that read_list reproduces them exactly.
+
+    An ``array("Q")`` is written from its own buffer (through a swapped
+    copy on a big-endian host); any other sequence is packed once.
+    """
     _check_format(fmt)
     if fmt == "text":
         for idx, v in enumerate(values):
             if v < 0:
                 raise ValueError(f"negative value {v} at index {idx}")
-        payload: str | bytes = "".join(f"{v}\n" for v in values)
+        payload: str | array = "".join(f"{v}\n" for v in values)
     else:
-        try:
-            payload = struct.pack(f"<{len(values)}Q", *values)
-        except struct.error as exc:
-            raise ValueExceedsUniverse(f"value does not fit in 8 bytes: {exc}") from exc
+        payload = _packed(values)
     with opened(destination, "w" if fmt == "text" else "wb") as fh:
         fh.write(payload)

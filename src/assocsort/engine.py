@@ -1,6 +1,6 @@
-"""In-place sorting engine for lists of distinct unsigned integers.
+"""In-place sorting engine for sequences of distinct unsigned integers.
 
-The engine sorts by turning list words themselves into a temporary index
+The engine sorts by turning the input words themselves into a temporary index
 structure.  Each pass over a region covers the value interval
 ``[delta, delta + (w-1)*n - 1]``: every in-range value is *practiced* by
 mapping it to a node index ``j`` and a bit position ``k``; the word at index
@@ -13,8 +13,11 @@ decoded right to left, expanding the sorted values back over the region
 :func:`run_pass` is one such pass; the driver repeats it on the unsorted
 suffix.
 
-Everything runs inside the caller's list plus a constant number of local
-variables, so auxiliary memory is O(1) regardless of input size.
+Everything runs inside the caller's sequence plus a constant number of
+local variables, so auxiliary memory is O(1) regardless of input size.  The
+sequence is only indexed, read and assigned, never resized: a ``list``, an
+``array("Q")`` or a ``memoryview`` cast to ``"Q"`` all work, and the last two
+hold one 8-byte word per value.
 
 Both entry points share one driver, which first validates the input in a
 single sweep that writes nothing.  The tag occupies bit ``w-1``, so
@@ -28,8 +31,8 @@ own minimum.  The splitter keeps no stack of pending buckets.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, MutableSequence
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 HOST_BITS = 64
 
@@ -104,7 +107,7 @@ HOST_SPEC = WordSpec(HOST_BITS)
 
 @dataclass(frozen=True)
 class Region:
-    """A window ``[offset, offset+length)`` of the backing list.
+    """A window ``[offset, offset+length)`` of the backing sequence.
 
     ``delta`` is the reference minimum for this pass.  The driver always uses
     the true minimum of the window; phase functions accept any ``delta`` not
@@ -169,7 +172,7 @@ class PhaseEvent:
     ``phase`` is one of ``practice``, ``store``, ``partition`` or
     ``retrieve``; every pass, a one-word pass included, emits all four in
     that order, each with the pass's tally.
-    ``data`` is the live backing list; hooks must treat it as read-only.
+    ``data`` is the live backing sequence; hooks must treat it as read-only.
     ``bias`` is the shift of a ``sort`` bucket reaching ``2**(w-1)``, whose
     passes run on values less its minimum (0 otherwise): add it to
     ``region.delta`` or ``tally.delta_prime`` to get input units.
@@ -179,7 +182,7 @@ class PhaseEvent:
     pass_index: int
     region: Region
     tally: PassTally
-    data: list[int]
+    data: MutableSequence[int]
     bias: int = 0
 
 
@@ -217,7 +220,7 @@ def node_base(position: int, delta: int, spec: WordSpec) -> int:
 
 
 def practice_pass(
-    data: list[int],
+    data: MutableSequence[int],
     region: Region,
     spec: WordSpec,
     work: WorkCounter | None = None,
@@ -295,7 +298,7 @@ def practice_pass(
 
 
 def store_records(
-    data: list[int],
+    data: MutableSequence[int],
     region: Region,
     n_d: int,
     spec: WordSpec,
@@ -327,7 +330,7 @@ def store_records(
 
 
 def partition_idles(
-    data: list[int],
+    data: MutableSequence[int],
     region: Region,
     tally: PassTally,
     spec: WordSpec,
@@ -366,7 +369,7 @@ def partition_idles(
 
 
 def retrieve_sorted(
-    data: list[int],
+    data: MutableSequence[int],
     region: Region,
     tally: PassTally,
     spec: WordSpec,
@@ -425,7 +428,7 @@ def retrieve_sorted(
 
 
 def run_pass(
-    data: list[int],
+    data: MutableSequence[int],
     region: Region,
     spec: WordSpec,
     work: WorkCounter | None = None,
@@ -457,7 +460,7 @@ def run_pass(
 
 
 def _validate_bounds(
-    data: list[int], offset: int, length: int, spec: WordSpec, limit: int
+    data: MutableSequence[int], offset: int, length: int, spec: WordSpec, limit: int
 ) -> tuple[int, int]:
     """Check every value of the window is an int in ``[0, limit)``.
 
@@ -481,7 +484,7 @@ def _validate_bounds(
 
 
 def _drive(
-    data: list[int],
+    data: MutableSequence[int],
     spec: WordSpec,
     offset: int,
     length: int,
@@ -525,7 +528,9 @@ def _drive(
         work.written += length
 
 
-def _split_low(data: list[int], start: int, stop: int, lo: int, hi: int) -> tuple[int, int, int]:
+def _split_low(
+    data: MutableSequence[int], start: int, stop: int, lo: int, hi: int
+) -> tuple[int, int, int]:
     """Partition ``data[start:stop]`` in place on the top bit where ``lo`` and ``hi`` differ.
 
     Returns ``(boundary, low_max, swaps)``: the low side is
@@ -549,7 +554,7 @@ def _split_low(data: list[int], start: int, stop: int, lo: int, hi: int) -> tupl
 
 
 def _sort(
-    data: list[int],
+    data: MutableSequence[int],
     spec: WordSpec,
     offset: int,
     length: int,
@@ -604,7 +609,7 @@ def _sort(
 
 
 def sort_region(
-    data: list[int],
+    data: MutableSequence[int],
     spec: WordSpec,
     offset: int = 0,
     length: int | None = None,
@@ -612,10 +617,12 @@ def sort_region(
 ) -> SortReport:
     """Sort ``data[offset:offset+length]`` ascending in place.
 
-    Values must be pairwise distinct ints below the tag bit
-    (``< 2**(w-1)``).  Runs as many passes as the value spread requires; each
-    pass appends its interval to the sorted prefix, so after pass t the first
-    ``sum(sorted_count)`` words are final.
+    ``data`` may be a ``list``, an ``array("Q")`` or a ``memoryview`` cast
+    to ``"Q"``; the passes index it and never resize it.  Values must be
+    pairwise distinct ints below the tag bit (``< 2**(w-1)``).  Runs as many
+    passes as the value spread requires; each pass appends its interval to
+    the sorted prefix, so after pass t the first ``sum(sorted_count)`` words
+    are final.
     """
     if length is None:
         length = len(data) - offset
@@ -625,12 +632,14 @@ def sort_region(
 
 
 def sort(
-    data: list[int],
+    data: MutableSequence[int],
     spec: WordSpec = HOST_SPEC,
     hook: PhaseHook | None = None,
 ) -> SortReport:
-    """Sort a list of distinct ints drawn from the full ``[0, 2**w)`` universe.
+    """Sort distinct ints drawn from the full ``[0, 2**w)`` universe in place.
 
+    ``data`` may be a ``list``, an ``array("Q")`` or a ``memoryview`` cast
+    to ``"Q"``; the splitter and the passes index it and never resize it.
     The value range is split in place into buckets narrow enough for the
     passes, and values at or above ``2**(w-1)`` are sorted shifted down by
     their bucket's minimum; the report covers every bucket and sweep.

@@ -102,6 +102,18 @@ class TestSort:
         assert code == 0
         assert dst.read_bytes() == (3).to_bytes(8, "little") + (7).to_bytes(8, "little")
 
+    def test_binary_duplicate_writes_nothing_and_keeps_the_input(self, tmp_path, capsys):
+        src = tmp_path / "in.bin"
+        dst = tmp_path / "out.bin"
+        payload = b"".join(v.to_bytes(8, "little") for v in (9, 2**63 + 5, 4, 9))
+        src.write_bytes(payload)
+        code = run_cli(["sort", "--input", str(src), "--output", str(dst), "--format", "binary"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: DuplicateDetected:"), err
+        assert not dst.exists()
+        assert src.read_bytes() == payload
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(["sort", "--input", str(tmp_path / "absent"), "--output", str(tmp_path / "o")])
         assert code == 1
@@ -325,3 +337,22 @@ def test_stdin_stdout_pipeline():
     assert proc.returncode == 0
     assert proc.stdout == "0\n2\n9\n11\n"
     assert "passes=1" in proc.stderr
+
+
+def test_binary_stdin_stdout_pipeline(tmp_path):
+    values = [2**64 - 1, 7, 2**63, 0, 300]
+    src = tmp_path / "in.bin"
+    dst = tmp_path / "out.bin"
+    src.write_bytes(b"".join(v.to_bytes(8, "little") for v in values))
+    assert run_cli(["sort", "--format", "binary", "--input", str(src), "--output", str(dst)]) == 0
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "assocsort", "sort", "--format", "binary"],
+        input=src.read_bytes(),
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == dst.read_bytes()
+    assert proc.stdout == b"".join(v.to_bytes(8, "little") for v in sorted(values))
+    assert b"n=5 passes=" in proc.stderr

@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 import io
+import os
+import sys
+import threading
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assocsort import (
+    DatasetSpec,
     ParseError,
     ValueExceedsUniverse,
+    generate,
     read_list,
+    sort,
     write_list,
 )
 
@@ -76,19 +84,57 @@ class TestBinary:
         values = [0, 1, 2**63, 2**64 - 1]
         write_list(values, path, "binary")
         assert path.stat().st_size == 8 * len(values)
-        assert read_list(path, "binary") == values
+        words = read_list(path, "binary")
+        assert words.typecode == "Q"
+        assert words.tolist() == values
 
     def test_little_endian_layout(self):
         buf = io.BytesIO()
         write_list([1], buf, "binary")
         assert buf.getvalue() == b"\x01" + b"\x00" * 7
 
-    def test_truncated(self):
+    def test_truncated(self, tmp_path):
         with pytest.raises(ParseError, match="offset 8"):
             read_list(io.BytesIO(b"\x00" * 11), "binary")
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"\x00" * 11)
+        with pytest.raises(ParseError, match="truncated record: 3 stray bytes at offset 8"):
+            read_list(path, "binary")
+
+    def test_path_naming_a_pipe_is_read_whole(self, tmp_path):
+        # A FIFO reports size 0, so it must not take the sized-file route.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        payload = (5).to_bytes(8, "little") + (2**64 - 1).to_bytes(8, "little")
+
+        def feed() -> None:
+            with open(fifo, "wb") as fh:
+                fh.write(payload)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        words = read_list(fifo, "binary")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert words.tolist() == [5, 2**64 - 1]
+
+    def test_big_endian_branch_swaps_a_copy(self, monkeypatch, tmp_path):
+        # Posing as a big-endian host: the host-order words must be swapped
+        # on the way out and back, and the caller's array never swapped.
+        monkeypatch.setattr(sys, "byteorder", "big")
+        words = array("Q", [1, 2**64 - 2])
+        buf = io.BytesIO()
+        write_list(words, buf, "binary")
+        assert words.tolist() == [1, 2**64 - 2]
+        assert buf.getvalue() == (1 << 56).to_bytes(8, "little") + bytes([0xFF] * 7 + [0xFE])
+        path = tmp_path / "swapped.bin"
+        path.write_bytes(buf.getvalue())
+        buf.seek(0)
+        assert read_list(buf, "binary") == words
+        assert read_list(path, "binary") == words
 
     def test_oversized_write_rejected(self):
-        for values in ([1 << 64], [-1]):
+        for values in ([1 << 64], [-1], [1.5]):
             with pytest.raises(ValueExceedsUniverse):
                 write_list(values, io.BytesIO(), "binary")
 
@@ -111,4 +157,40 @@ def test_round_trip_property_both_formats(values):
     bbuf = io.BytesIO()
     write_list(values, bbuf, "binary")
     bbuf.seek(0)
-    assert read_list(bbuf, "binary") == values
+    words = read_list(bbuf, "binary")
+    assert words.typecode == "Q"
+    assert words.tolist() == values
+
+
+def test_binary_file_sorts_in_one_word_per_value(tmp_path):
+    # 1 MiB of packed words: reading holds the file's size once, and the
+    # in-place sort and the write from the array's own buffer add no
+    # per-value objects.
+    values = generate(DatasetSpec("best_case", 1 << 17, 64, seed=3))
+    src = tmp_path / "in.bin"
+    dst = tmp_path / "out.bin"
+    write_list(values, src, "binary")
+    size = src.stat().st_size
+    expected = sorted(values)
+    del values
+    growth = {}
+
+    def traced(step, call):
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = call()
+        growth[step] = tracemalloc.get_traced_memory()[1] - before
+        return result
+
+    tracemalloc.start()
+    try:
+        words = traced("read", lambda: read_list(src, "binary"))
+        traced("sort", lambda: sort(words))
+        traced("write", lambda: write_list(words, dst, "binary"))
+    finally:
+        tracemalloc.stop()
+    assert growth["read"] <= 1.05 * size, growth
+    assert growth["sort"] < 64 * 1024, growth
+    assert growth["write"] < 64 * 1024, growth
+    assert words.tolist() == expected
+    assert read_list(dst, "binary") == words

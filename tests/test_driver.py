@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assocsort import (
+    DatasetSpec,
     DuplicateDetected,
     PassTally,
     PhaseEvent,
@@ -241,6 +243,51 @@ class TestReportTotals:
         assert report.pass_count == 512
         assert data == sorted(values)
         assert peak - before < 32 * 1024
+
+
+def _packed_cases():
+    """(word, values) pairs: sample_case trials, then each family at w = 8, 16, 64."""
+    for trial in range(400):
+        word, ds = sample_case(trial)
+        yield word, generate(ds)
+    for w in (8, 16, 64):
+        word = WordSpec(w)
+        n = min(120, word.tag_mask // (4 * (w - 1)))
+        yield word, generate(DatasetSpec("uniform", n, w, beta=4, seed=w))
+        yield word, generate(DatasetSpec("full_universe", 60, w, seed=w))
+        yield word, gen_adversarial(4, word)
+        yield word, gen_best_case(min(120, word.tag_mask), word)
+
+
+def _sorted_with_events(sorter, data, word):
+    events = []
+
+    def hook(event: PhaseEvent) -> None:
+        events.append((event.phase, event.pass_index, event.region, event.tally, event.bias))
+
+    report = sorter(data, word, hook=hook)
+    counts = (report.pass_count, report.total_sorted, report.words_scanned, report.words_written)
+    return counts, events
+
+
+@pytest.mark.parametrize("sorter", [sort, sort_region])
+def test_packed_words_sort_like_a_list(sorter):
+    # The engine only indexes its data, so an array("Q") and a memoryview
+    # cast to "Q" must see the same passes, counts and events as a list.
+    checked = 0
+    for word, values in _packed_cases():
+        if sorter is sort_region and any(v >= word.tag_mask for v in values):
+            continue
+        as_list = list(values)
+        expected = _sorted_with_events(sorter, as_list, word)
+        assert as_list == sorted(values)
+        as_array = array("Q", values)
+        as_view = memoryview(bytearray(as_array.tobytes())).cast("Q")
+        for packed in (as_array, as_view):
+            assert _sorted_with_events(sorter, packed, word) == expected
+            assert packed.tolist() == as_list
+        checked += 1
+    assert checked >= 100
 
 
 @settings(max_examples=120, deadline=None)
