@@ -2,9 +2,12 @@
 """Pass counts and scan work across the three canonical input shapes.
 
 Best-case inputs (range under (w-1)*n) sort in one pass.  Adversarial
-spacing forces one pass per value, and the total scan work stays within
-2*(n + m/(w-1)).  Uniform inputs with range multiplier beta shed a 1/beta
-fraction per pass, so total scan work stays within 2*beta*n.
+spacing forces one pass per value.  ``sort_region`` runs every pass over the
+whole unsorted rest, about n**2/2 words, which stays within the paper's
+2*(n + m/(w-1)); ``sort`` hands the rest back to its range splitter once it
+is too wide for its length and scans linear work.  Uniform inputs with
+range multiplier beta shed a 1/beta fraction per pass, so total scan work
+stays within 2*beta*n.
 """
 
 import sys
@@ -23,6 +26,7 @@ from assocsort import (
     generate,
     predict_worst_pass_bound,
     sort,
+    sort_region,
 )
 
 print("== best case: one pass regardless of size ==")
@@ -32,16 +36,18 @@ for n in (16, 256, 4096):
     report = sort(data, word)
     print(f"  n={n:<5} passes={report.pass_count}")
 
-print("\n== adversarial: one pass per value, bounded scan work ==")
+print("\n== adversarial: one pass per value; sort_region's scan work vs sort's ==")
 for n in (8, 64, 256):
     data = gen_adversarial(n, word)
     m = max(data) + 1
+    paper = sort_region(list(data), word)
     report = sort(data, word)
     bound = predict_worst_pass_bound(n, m, word)
     work_cap = 2 * (n + m / (word.w - 1))
     print(
-        f"  n={n:<4} passes={report.pass_count:<4} bound={bound:<4} "
-        f"scanned={report.words_scanned:<7} cap={work_cap:.0f}"
+        f"  n={n:<4} bound={bound:<4} cap={work_cap:<6.0f} "
+        f"sort_region: passes={paper.pass_count:<4} scanned={paper.words_scanned:<6} "
+        f"sort: passes={report.pass_count:<4} scanned={report.words_scanned}"
     )
 
 print("\n== uniform: geometric shrink, work within 2*beta*n ==")

@@ -10,7 +10,7 @@ Records are then compacted to the front of the region (*storing*), the
 redundant idle words are clustered next to them, and finally the nodes are
 decoded right to left, expanding the sorted values back over the region
 (*retrieval*).  Values beyond the interval are deferred to the next pass.
-:func:`run_pass` is one such pass; the driver repeats it on the unsorted
+:func:`run_pass` is one such pass; the sort loop repeats it on the unsorted
 suffix.
 
 Everything runs inside the caller's sequence plus a constant number of
@@ -19,13 +19,15 @@ sequence is only indexed, read and assigned, never resized: a ``list``, an
 ``array("Q")`` or a ``memoryview`` cast to ``"Q"`` all work, and the last two
 hold one 8-byte word per value.
 
-Both entry points share one driver, which first validates the input in a
+Both entry points share one loop, which first validates the input in a
 single sweep that writes nothing.  The tag occupies bit ``w-1``, so
 :func:`sort_region` accepts values below ``2**(w-1)`` and runs the passes on
-the whole window.  :func:`sort` accepts ``[0, 2**w)`` and first splits the
-value range in place, MSD-radix style, until each bucket is narrow enough
-for the passes; a bucket that reaches the tag bit is shifted down by its
-own minimum.  The splitter keeps no stack of pending buckets.
+the whole window.  :func:`sort` accepts ``[0, 2**w)`` and splits the value
+range in place, MSD-radix style: each step splits the current bucket or
+runs one pass on it, and what a pass defers stays the current bucket, so a
+bucket the passes shrink too slowly goes back to the splitter.  A bucket
+that reaches the tag bit is shifted down by its own minimum.  The loop
+keeps no stack of pending buckets.
 """
 
 from __future__ import annotations
@@ -109,9 +111,9 @@ HOST_SPEC = WordSpec(HOST_BITS)
 class Region:
     """A window ``[offset, offset+length)`` of the backing sequence.
 
-    ``delta`` is the reference minimum for this pass.  The driver always uses
-    the true minimum of the window; phase functions accept any ``delta`` not
-    exceeding every value in the window.
+    ``delta`` is the reference minimum for this pass.  The sort loop always
+    uses the true minimum of the window; phase functions accept any
+    ``delta`` not exceeding every value in the window.
     """
 
     offset: int
@@ -174,8 +176,8 @@ class PhaseEvent:
     that order, each with the pass's tally.
     ``data`` is the live backing sequence; hooks must treat it as read-only.
     ``bias`` is the shift of a ``sort`` bucket reaching ``2**(w-1)``, whose
-    passes run on values less its minimum (0 otherwise): add it to
-    ``region.delta`` or ``tally.delta_prime`` to get input units.
+    passes run on values less its minimum at its first pass (0 otherwise):
+    add it to ``region.delta`` or ``tally.delta_prime`` to get input units.
     """
 
     phase: str
@@ -483,51 +485,6 @@ def _validate_bounds(
     return lo, hi
 
 
-def _drive(
-    data: MutableSequence[int],
-    spec: WordSpec,
-    offset: int,
-    length: int,
-    hook: PhaseHook | None,
-    report: SortReport,
-    work: WorkCounter,
-    lo: int,
-    hi: int,
-) -> None:
-    """Run passes over ``data[offset:offset+length]`` until it is sorted.
-
-    ``lo`` and ``hi`` are the window's known bounds; later passes reuse the
-    deferred minimum tracked during practicing, so no min scans are needed.
-    A window reaching the tag bit (``hi - lo`` stays below it) is shifted
-    down by ``lo`` and back; its hook events carry ``bias=lo``.  Passes
-    count in ``report``, scans and writes (shifts included) in ``work``.
-    """
-    bias = lo if hi >= spec.tag_mask else 0
-    events = hook if hook is None or not bias else lambda ev: hook(replace(ev, bias=bias))
-    if bias:
-        for idx in range(offset, offset + length):
-            data[idx] -= bias
-        work.written += length
-    pos = offset
-    remaining = length
-    delta = lo - bias
-    while remaining > 0:
-        region = Region(pos, remaining, delta)
-        tally = run_pass(data, region, spec, work, events, report.pass_count)
-        report.pass_count += 1
-        report.total_sorted += tally.sorted_count
-        pos += tally.sorted_count
-        remaining -= tally.sorted_count
-        if remaining:
-            if tally.delta_prime is None:
-                raise CorruptState(f"{remaining} values left but none was deferred")
-            delta = tally.delta_prime
-    if bias:
-        for idx in range(offset, offset + length):
-            data[idx] += bias
-        work.written += length
-
-
 def _split_low(
     data: MutableSequence[int], start: int, stop: int, lo: int, hi: int
 ) -> tuple[int, int, int]:
@@ -563,15 +520,23 @@ def _sort(
 ) -> SortReport:
     """Validate ``data[offset:offset+length]`` against ``limit``, then sort it.
 
-    ``sort_region`` drives the window whole.  ``sort`` first runs a
-    stackless binary MSD splitter: a bucket of length L spanning at least
-    ``2**(w-1)`` or ``(w-1)*L**2`` is split with :func:`_split_low` and the
-    loop goes on with its low side; a narrower one is driven, since there
-    the paper's passes cost no more than one pass per value.  The bucket
-    after a driven one is found again from the data: it is the run of words
-    agreeing with its first word ``x`` above ``b``, the top bit where ``x``
-    and the driven maximum differ, for the split that parted them was on
-    ``b`` and every value it split agrees above it.
+    One loop owns the current bucket ``data[pos:stop]``, its bounds ``lo``
+    and ``hi``, and the ``bias`` its words are shifted down by; each step
+    splits the bucket or runs one pass on it.  ``sort_region`` never
+    splits.  ``sort`` splits a bucket of length L spanning at least
+    ``2**(w-1)`` or ``(w-1)*L**2`` with :func:`_split_low` and goes on with
+    its low side, since below that span the passes cost no more than one
+    pass per value.  A pass moves its sorted words out of the bucket and
+    leaves the deferred rest as the current bucket, ``lo`` its deferred
+    minimum, so the same rule decides whether to pass again or split.  A
+    bucket reaching the tag bit is shifted down by ``lo`` before its first
+    pass; each pass shifts back the words it sorted, and the rest is
+    shifted back only before a split.  An empty bucket's successor is found
+    again from the data: it is the run of words agreeing with its first
+    word ``x`` above ``b``, the top bit where ``x`` and the sorted maximum
+    differ, for the split that parted them was on ``b`` and every value it
+    split agrees above it.  A remainder lies inside its bucket, so
+    splitting it keeps this true.
     """
     started = time.perf_counter_ns()
     report = SortReport()
@@ -581,15 +546,40 @@ def _sort(
     split = limit > spec.tag_mask
     pos = offset
     stop = end = offset + length
+    bias = 0
     while pos < end:
         size = stop - pos
         if split and hi - lo >= min(spec.tag_mask, (spec.w - 1) * size * size):
+            if bias:
+                for idx in range(pos, stop):
+                    data[idx] += bias
+                work.written += size
+                bias = 0
             stop, hi, swaps = _split_low(data, pos, stop, lo, hi)
             work.scanned += size
             work.written += 2 * swaps
             continue
-        _drive(data, spec, pos, size, hook, report, work, lo, hi)
-        pos = stop
+        if hi >= spec.tag_mask and not bias:
+            bias = lo
+            for idx in range(pos, stop):
+                data[idx] -= bias
+            work.written += size
+        events = hook if hook is None or not bias else lambda ev: hook(replace(ev, bias=bias))
+        region = Region(pos, size, lo - bias)
+        tally = run_pass(data, region, spec, work, events, report.pass_count)
+        report.pass_count += 1
+        report.total_sorted += tally.sorted_count
+        if bias:
+            for idx in range(pos, pos + tally.sorted_count):
+                data[idx] += bias
+            work.written += tally.sorted_count
+        pos += tally.sorted_count
+        if pos < stop:
+            if tally.delta_prime is None:
+                raise CorruptState(f"{stop - pos} values left but none was deferred")
+            lo = tally.delta_prime + bias
+            continue
+        bias = 0
         if pos < end:
             b = (data[pos - 1] ^ data[pos]).bit_length() - 1
             prefix = data[pos] >> b
@@ -641,7 +631,10 @@ def sort(
     ``data`` may be a ``list``, an ``array("Q")`` or a ``memoryview`` cast
     to ``"Q"``; the splitter and the passes index it and never resize it.
     The value range is split in place into buckets narrow enough for the
-    passes, and values at or above ``2**(w-1)`` are sorted shifted down by
-    their bucket's minimum; the report covers every bucket and sweep.
+    passes, and what a pass leaves unsorted is split again once it is too
+    wide for its length, so adversarially spaced values cost linear scan
+    work, not a pass over the whole rest each.  Values at or above
+    ``2**(w-1)`` are sorted shifted down by their bucket's minimum; the
+    report covers every bucket and sweep.
     """
     return _sort(data, spec, 0, len(data), hook, spec.universe)

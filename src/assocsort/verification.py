@@ -133,7 +133,12 @@ def check_oracle_equivalence(trials: int, seed: int) -> SuiteResult:
 
 
 def check_pass_counts(seed: int) -> SuiteResult:
-    """Best-case inputs take one pass; adversarial inputs take one per value."""
+    """Best-case inputs take one pass; adversarial inputs take one per value.
+
+    ``sort`` must also scan an adversarial input in at most ``(2*w + 4)*n``
+    words, as the range splitter does on sparse input; running every pass
+    over the whole unsorted rest scans about ``n**2/2``.
+    """
     result = SuiteResult("pass_counts", 0, 0)
     rng = random.Random(seed)
     for w in VERIFY_WIDTHS:
@@ -145,12 +150,14 @@ def check_pass_counts(seed: int) -> SuiteResult:
             report = sort(data, word)
             note = f"best_case n={n} w={w} passes={report.pass_count}"
             result.record(report.pass_count == 1, note)
-    for w, n in [(8, 4), (16, 16), (16, 32), (64, 64), (64, 128)]:
+    for w, n in [(8, 4), (16, 16), (16, 32), (64, 64), (64, 128), (64, 1024)]:
         word = WordSpec(w)
         data = list(generate(DatasetSpec("adversarial", n, w)))
         report = sort(data, word)
         note = f"adversarial n={n} w={w} passes={report.pass_count}"
         result.record(report.pass_count == n, note)
+        note = f"adversarial n={n} w={w} scanned={report.words_scanned}"
+        result.record(report.words_scanned <= (2 * w + 4) * n, note)
     return result
 
 

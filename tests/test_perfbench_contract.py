@@ -31,8 +31,10 @@ def _load_tracing():
 @pytest.mark.parametrize(
     ("values", "word", "split", "splitter_sweeps"),
     [
-        # one pass per value, the last over a single word; all below the tag
-        (gen_adversarial(16, WordSpec(16)), WordSpec(16), False, 0),
+        # one pass per value, all below the tag: after the second pass the
+        # remainder's span reaches (w-1)*L**2 and it goes back to the
+        # splitter, whose partition sweeps and bucket scans are pinned here
+        (gen_adversarial(16, WordSpec(16)), WordSpec(16), False, 81),
         # values on both sides of 2**63: the range splitter runs first, its
         # partition sweeps and bucket scans pinned for this fixed input
         (generate(DatasetSpec("full_universe", 64, 64, seed=3)), WordSpec(64), True, 622),

@@ -1,11 +1,12 @@
-"""The range splitter in ``sort``: sorted output, linear scan work, one pass
-per driven bucket, duplicate rejection and constant auxiliary space.
+"""The range splitter in ``sort``: sorted output, linear scan work, four
+phases per pass, duplicate rejection and constant auxiliary space.
 
 ``sort`` partitions a bucket whose value span is too wide for the paper's
-passes on its highest differing bit, then drives the narrow buckets.  The
-inputs here are the ones that split: sparse values over the whole
-universe, clustered runs spread across it, and values straddling the tag
-bit ``2**(w-1)``.
+passes on its highest differing bit, and passes a narrow one; what a pass
+leaves is the bucket again, so it may be split next.  The inputs here are
+the ones that split: sparse values over the whole universe, clustered runs
+spread across it, values straddling the tag bit ``2**(w-1)``, and values
+spaced so that each pass sorts only one or a few of them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assocsort import DatasetSpec, DuplicateDetected, WordSpec, engine, generate, sort
+from assocsort import (
+    DatasetSpec,
+    DuplicateDetected,
+    WordSpec,
+    engine,
+    gen_adversarial,
+    generate,
+    sort,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WIDTHS = (4, 8, 16, 32, 64)
@@ -40,7 +49,9 @@ def splitter_inputs(draw) -> tuple[int, list[int]]:
     w = draw(st.sampled_from(WIDTHS))
     top = (1 << w) - 1
     half = 1 << (w - 1)
-    shape = draw(st.sampled_from(("sparse", "clustered", "straddling")))
+    shape = draw(
+        st.sampled_from(("sparse", "clustered", "straddling", "adversarial", "geometric"))
+    )
     if shape == "sparse":
         values = set(draw(st.lists(st.integers(0, top), max_size=64)))
     elif shape == "clustered":
@@ -48,10 +59,24 @@ def splitter_inputs(draw) -> tuple[int, list[int]]:
             st.lists(st.tuples(st.integers(0, top), st.integers(1, 24)), min_size=1, max_size=6)
         )
         values = {v for start, size in runs for v in range(start, min(start + size, top + 1))}
-    else:
+    elif shape == "straddling":
         values = set(
             draw(st.lists(st.integers(max(0, half - 48), min(top, half + 47)), max_size=64))
         )
+    elif shape == "adversarial":
+        # gen_adversarial's spacing, (w-1)*n apart, from any start it fits
+        cap = max(n for n in range(1, 65) if (n - 1) * (w - 1) * n <= top)
+        n = draw(st.integers(1, cap))
+        start = draw(st.integers(0, top - (n - 1) * (w - 1) * n))
+        values = {start + t * (w - 1) * n for t in range(n)}
+    else:
+        # gaps growing by a constant ratio: each pass sorts a few values
+        v = draw(st.integers(0, top))
+        gap, ratio = draw(st.integers(1, 64)), draw(st.integers(2, 4))
+        values = set()
+        while v <= top and len(values) < 64:
+            values.add(v)
+            v, gap = v + gap, gap * ratio
     return w, draw(st.permutations(sorted(values)))
 
 
@@ -80,6 +105,20 @@ def test_splitter_sorts_in_linear_scan_work(case, data):
         at = data.draw(st.integers(0, n))
         with pytest.raises(DuplicateDetected):
             sort(values[:at] + [copy] + values[at:], word)
+
+
+def test_adversarial_input_scans_linear_work():
+    # One value per pass: running every pass over the whole rest would
+    # scan about n**2/2 words (525,824 here).  After two passes the rest
+    # spans more than (w-1)*L**2 and goes back to the splitter.
+    word = WordSpec(64)
+    n = 1024
+    values = gen_adversarial(n, word)
+    buf = list(values)
+    report = sort(buf, word)
+    assert buf == sorted(values)
+    assert report.pass_count == n
+    assert report.words_scanned <= (2 * word.w + 4) * n
 
 
 def _aux_peak(n: int) -> int:
