@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, MutableSequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 HOST_BITS = 64
 
@@ -107,32 +108,43 @@ class WordSpec:
 HOST_SPEC = WordSpec(HOST_BITS)
 
 
-@dataclass(frozen=True)
-class Region:
-    """A window ``[offset, offset+length)`` of the backing sequence.
-
-    ``delta`` is the reference minimum for this pass.  The sort loop always
-    uses the true minimum of the window; phase functions accept any
-    ``delta`` not exceeding every value in the window.
-    """
-
+class _RegionFields(NamedTuple):
     offset: int
     length: int
     delta: int
 
-    def __post_init__(self) -> None:
-        if self.offset < 0 or self.length < 0:
+
+class Region(_RegionFields):
+    """A window ``[offset, offset+length)`` of the backing sequence.
+
+    ``delta`` is the reference minimum for this pass.  The sort loop always
+    uses the true minimum of the window; phase functions accept any
+    ``delta`` not exceeding every value in the window.  An immutable named
+    tuple, built once per pass: ``len(region)`` is 3, the field count, not
+    the window length.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, offset: int, length: int, delta: int) -> Region:
+        if offset < 0 or length < 0:
             raise ValueError("region offset and length must be non-negative")
+        return tuple.__new__(cls, (offset, length, delta))
+
+    @classmethod
+    def _make(cls, iterable) -> Region:
+        # The named tuple's _make, and _replace through it, skip __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PassTally:
+class PassTally(NamedTuple):
     """Counters produced by one practice pass.
 
     ``n_d`` nodes were created, ``n_c`` idle words were absorbed into node
     records, and ``n_d_prime`` values fell beyond the practiced interval and
     wait for a later pass.  ``delta_prime`` is the minimum of those deferred
-    values (None when there are none).
+    values (None when there are none).  An immutable named tuple, built once
+    per pass.
     """
 
     n_d: int
@@ -155,9 +167,10 @@ class SortReport:
     route values: the validation sweep, the splitter's partition sweeps and
     bucket scans, and every cursor step of each pass's practice sweep.
     ``words_written`` counts every word mutation, the splitter's swaps and
-    shifts included.  Both are copied once, at the end, from the one
-    WorkCounter the sort adds every sweep, phase and shift to.  Per-pass
-    tallies reach callers only through the hook, so the report stays O(1).
+    shifts included.  The sort loop keeps these totals in locals and in the
+    one WorkCounter it adds every sweep, phase and shift to, and builds the
+    report once, at the end.  Per-pass tallies reach callers only through
+    the hook, so the report stays O(1).
     """
 
     pass_count: int = 0
@@ -173,7 +186,8 @@ class PhaseEvent:
 
     ``phase`` is one of ``practice``, ``store``, ``partition`` or
     ``retrieve``; every pass, a one-word pass included, emits all four in
-    that order, each with the pass's tally.
+    that order, each with the pass's tally.  Events are built only for a
+    sort that was given a hook.
     ``data`` is the live backing sequence; hooks must treat it as read-only.
     ``bias`` is the shift of a ``sort`` bucket reaching ``2**(w-1)``, whose
     passes run on values less its minimum at its first pass (0 otherwise):
@@ -436,6 +450,7 @@ def run_pass(
     work: WorkCounter | None = None,
     hook: PhaseHook | None = None,
     index: int = 0,
+    bias: int = 0,
 ) -> PassTally:
     """Run practice, store, partition and retrieve once over ``region``.
 
@@ -443,21 +458,21 @@ def run_pass(
     practiced interval in ascending order and the deferred values follow,
     untagged.  ``region.delta`` may sit below the region minimum, which
     shifts where the nodes land.  ``hook``, when given, sees a PhaseEvent
-    numbered ``index`` after each phase.
+    numbered ``index`` and carrying ``bias`` after each phase; without a
+    hook no event is built.
     """
-
-    def emit(phase: str) -> None:
-        if hook is not None:
-            hook(PhaseEvent(phase, index, region, tally, data))
-
     tally = practice_pass(data, region, spec, work)
-    emit("practice")
+    if hook is not None:
+        hook(PhaseEvent("practice", index, region, tally, data, bias))
     store_records(data, region, tally.n_d, spec, work)
-    emit("store")
+    if hook is not None:
+        hook(PhaseEvent("store", index, region, tally, data, bias))
     partition_idles(data, region, tally, spec, work)
-    emit("partition")
+    if hook is not None:
+        hook(PhaseEvent("partition", index, region, tally, data, bias))
     retrieve_sorted(data, region, tally, spec, work)
-    emit("retrieve")
+    if hook is not None:
+        hook(PhaseEvent("retrieve", index, region, tally, data, bias))
     return tally
 
 
@@ -536,20 +551,24 @@ def _sort(
     word ``x`` above ``b``, the top bit where ``x`` and the sorted maximum
     differ, for the split that parted them was on ``b`` and every value it
     split agrees above it.  A remainder lies inside its bucket, so
-    splitting it keeps this true.
+    splitting it keeps this true.  The pass count stays in a local and the
+    report is built once, at the end; its ``total_sorted`` is how far the
+    sorted prefix advanced, the sum of every pass's ``sorted_count``.
     """
     started = time.perf_counter_ns()
-    report = SortReport()
     work = WorkCounter()
     lo, hi = _validate_bounds(data, offset, length, spec, limit)
     work.scanned += length
-    split = limit > spec.tag_mask
+    tag = spec.tag_mask
+    wm1 = spec.w - 1
+    split = limit > tag
+    passes = 0
     pos = offset
     stop = end = offset + length
     bias = 0
     while pos < end:
         size = stop - pos
-        if split and hi - lo >= min(spec.tag_mask, (spec.w - 1) * size * size):
+        if split and (hi - lo >= tag or hi - lo >= wm1 * size * size):
             if bias:
                 for idx in range(pos, stop):
                     data[idx] += bias
@@ -559,21 +578,19 @@ def _sort(
             work.scanned += size
             work.written += 2 * swaps
             continue
-        if hi >= spec.tag_mask and not bias:
+        if hi >= tag and not bias:
             bias = lo
             for idx in range(pos, stop):
                 data[idx] -= bias
             work.written += size
-        events = hook if hook is None or not bias else lambda ev: hook(replace(ev, bias=bias))
-        region = Region(pos, size, lo - bias)
-        tally = run_pass(data, region, spec, work, events, report.pass_count)
-        report.pass_count += 1
-        report.total_sorted += tally.sorted_count
+        tally = run_pass(data, Region(pos, size, lo - bias), spec, work, hook, passes, bias)
+        passes += 1
+        done = tally.n_d + tally.n_c
         if bias:
-            for idx in range(pos, pos + tally.sorted_count):
+            for idx in range(pos, pos + done):
                 data[idx] += bias
-            work.written += tally.sorted_count
-        pos += tally.sorted_count
+            work.written += done
+        pos += done
         if pos < stop:
             if tally.delta_prime is None:
                 raise CorruptState(f"{stop - pos} values left but none was deferred")
@@ -584,18 +601,19 @@ def _sort(
             b = (data[pos - 1] ^ data[pos]).bit_length() - 1
             prefix = data[pos] >> b
             lo, hi = limit, -1
-            while stop < end and data[stop] >> b == prefix:
+            while stop < end:
                 v = data[stop]
+                if v >> b != prefix:
+                    break
                 if v < lo:
                     lo = v
                 if v > hi:
                     hi = v
                 stop += 1
             work.scanned += stop - pos
-    report.words_scanned = work.scanned
-    report.words_written = work.written
-    report.elapsed_ns = time.perf_counter_ns() - started
-    return report
+    return SortReport(
+        passes, pos - offset, work.scanned, work.written, time.perf_counter_ns() - started
+    )
 
 
 def sort_region(

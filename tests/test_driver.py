@@ -24,6 +24,7 @@ from assocsort import (
     sort,
     sort_region,
 )
+from assocsort import engine
 from assocsort.verification import sample_case
 
 W8 = WordSpec(8)
@@ -197,6 +198,30 @@ class TestSortUniverse:
         sort(hooked, W8, hook=events.append)
         assert quiet == hooked
         assert {e.phase for e in events} >= {"practice", "store", "partition", "retrieve"}
+
+
+def test_no_hook_builds_no_event(monkeypatch):
+    # Passing no hook costs nothing: no PhaseEvent is built, on any path.
+    def no_event(*args, **kwargs):
+        raise AssertionError("PhaseEvent built for a sort without a hook")
+
+    monkeypatch.setattr(engine, "PhaseEvent", no_event)
+    word = WordSpec(64)
+    half = word.tag_mask
+    cases = [
+        (sort, generate(DatasetSpec("full_universe", 300, 64, seed=4))),
+        (sort, gen_adversarial(64, word)),
+        (sort_region, gen_adversarial(64, word)),
+        (sort, [half + 63 * t for t in range(40)] + [half - 1 - 63 * t for t in range(40)]),
+        (sort, gen_best_case(500, word)),
+        (sort_region, gen_best_case(500, word)),
+    ]
+    for sorter, values in cases:
+        data = list(values)
+        random.Random(len(values)).shuffle(data)
+        report = sorter(data, word)
+        assert data == sorted(values)
+        assert report.total_sorted == len(values)
 
 
 class CountingList(list):

@@ -274,3 +274,43 @@ class TestOffsetRegions:
         partition_idles(data, region, tally, spec)
         retrieve_sorted(data, region, tally, spec)
         assert data == [999, 998, 0, 2, 9, 11, 777]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("offset, length", [(-1, 1), (0, -1)])
+    def test_region_rejects_a_negative_window(self, offset, length):
+        with pytest.raises(ValueError, match="non-negative"):
+            Region(offset, length, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            Region(0, 1, 0)._replace(offset=offset, length=length)
+
+    @pytest.mark.parametrize(
+        "record, name",
+        [
+            (Region(2, 4, 7), "offset"),
+            (Region(2, 4, 7), "length"),
+            (Region(2, 4, 7), "delta"),
+            (PassTally(1, 2, 0), "n_d"),
+            (PassTally(1, 2, 0), "delta_prime"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, record, name):
+        before = repr(record)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 9)
+        assert repr(record) == before
+
+    def test_pass_tally_fields(self):
+        tally = PassTally(1, 2, 0)
+        assert tally.sorted_count == 3
+        assert tally.delta_prime is None
+        assert tally == PassTally(1, 2, 0, None)
+        assert tally != PassTally(1, 2, 0, 5)
+        assert repr(tally) == "PassTally(n_d=1, n_c=2, n_d_prime=0, delta_prime=None)"
+
+    def test_region_fields(self):
+        region = Region(2, 4, 7)
+        assert (region.offset, region.length, region.delta) == (2, 4, 7)
+        assert region == Region(2, 4, 7)
+        assert region != Region(2, 4, 8)
+        assert repr(region) == "Region(offset=2, length=4, delta=7)"
