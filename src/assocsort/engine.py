@@ -221,7 +221,10 @@ def compute_hash(value: int, delta: int, n: int, spec: WordSpec) -> tuple[int, i
     Returns None when the value lies beyond the practiced interval
     ``[delta, delta + (w-1)*n - 1]``; that is a normal outcome, not an error.  The
     range check divides instead of forming ``(w-1)*n``, which may not fit in
-    w bits.
+    w bits.  The phases do form the bound ``delta + (w-1)*n``, once per pass,
+    and compare each word against it: Python ints do not overflow, while a
+    port to fixed-width words would keep this division.  A property test in
+    ``tests/test_hash.py`` pins the two checks as equal.
     """
     off = value - delta
     q = off // (spec.w - 1)
@@ -249,6 +252,11 @@ def practice_pass(
     pass.  When a value collides with a node, its word is re-homed at the
     cursor; if it came from beyond the cursor it is re-examined in place.
 
+    Every word must be below ``2**w``, which the sort entry points validate.
+    Then each word is classified by one comparison: it is a node when it is
+    at least the tag ``2**(w-1)``, and a value is deferred when it is at
+    least ``delta + (w-1)*n``, a bound formed once per call.
+
     Raises DuplicateDetected when a node bit is already set for an incoming
     value.  The region is then in an unspecified in-bounds state.  Raises
     ValueError, before writing the offending word, when an untagged value
@@ -260,6 +268,7 @@ def practice_pass(
     n = region.length
     base = region.offset
     end = base + n
+    top = delta + wm1 * n
 
     n_d = 0
     n_c = 0
@@ -270,23 +279,23 @@ def practice_pass(
     i = base
     while i < end:
         s = data[i]
-        if s & tag:
+        if s >= tag:
+            i += 1
+            continue
+        if s >= top:
+            n_out += 1
+            if delta_next is None or s < delta_next:
+                delta_next = s
             i += 1
             continue
         if s < delta:
             raise ValueError(f"value {s} at index {i} is below the pass minimum {delta}")
         off = s - delta
         q = off // wm1
-        if q >= n:
-            n_out += 1
-            if delta_next is None or s < delta_next:
-                delta_next = s
-            i += 1
-            continue
         j = base + q
         node = data[j]
         bit = 1 << (off - q * wm1)
-        if node & tag:
+        if node >= tag:
             if node & bit:
                 raise DuplicateDetected(
                     f"value {s} occurs more than once (node {q}, bit {bit.bit_length() - 1})"
@@ -326,6 +335,8 @@ def store_records(
     record from the left still belongs to the r-th tagged word from the left.
     Terminates after exactly ``n_d`` swaps.  Contributes mutations to the
     work counter; cursor steps of the shuffling phases are not scan work.
+    Every word must be below ``2**w``, which the sort entry points validate,
+    so a word is tagged exactly when it is at least ``2**(w-1)``.
     """
     tag = spec.tag_mask
     vmask = spec.value_mask
@@ -334,7 +345,7 @@ def store_records(
     k = n_d
     while k:
         si = data[i]
-        if si & tag:
+        if si >= tag:
             sj = data[j]
             data[j] = (sj & tag) | (si & vmask)
             data[i] = (si & tag) | (sj & vmask)
@@ -357,13 +368,14 @@ def partition_idles(
     Within region indices ``[n_d, length)`` the low bits are permuted so the
     ``n_c`` in-range values come first and the deferred values last.  Tags
     stay put; a payload is deferred iff its hash quotient reaches the region
-    length.  Terminates after exactly ``n_c`` placements.
+    length, that is iff it is at least ``delta + (w-1)*length``, a bound
+    formed once per call.  Terminates after exactly ``n_c`` placements.
+    Every word must be below ``2**w``, which the sort entry points validate;
+    the tag ``2**(w-1)`` is then the word's top bit.
     """
-    wm1 = spec.w - 1
     tag = spec.tag_mask
     vmask = spec.value_mask
-    delta = region.delta
-    n = region.length
+    top = region.delta + (spec.w - 1) * region.length
 
     i = region.offset + tally.n_d
     j = i
@@ -371,7 +383,7 @@ def partition_idles(
     while k:
         si = data[i]
         s = si & vmask
-        if (s - delta) // wm1 >= n:
+        if s >= top:
             i += 1
             continue
         sj = data[j]
@@ -399,7 +411,9 @@ def retrieve_sorted(
     the write targets.  Expansion writes replace only the low bits and keep
     the destination tag: a write may land on a not-yet-scanned node, whose
     tag must survive until the scan consumes it (clearing the tag then
-    reveals the already-written output value).
+    reveals the already-written output value).  Every word must be below
+    ``2**w``, which the sort entry points validate, so the scan finds a tag
+    exactly where a word is at least ``2**(w-1)``.
 
     Raises CorruptState when tags and records fall out of step, which means
     a duplicate escaped detection or the pre-phase state was inconsistent.
@@ -419,8 +433,7 @@ def retrieve_sorted(
             raise CorruptState(
                 f"scan exhausted with {p - base} output slots unfilled"
             )
-        s = data[i]
-        if not s & tag:
+        if data[i] < tag:
             i -= 1
             continue
         if r < base:
@@ -505,19 +518,24 @@ def _split_low(
 ) -> tuple[int, int, int]:
     """Partition ``data[start:stop]`` in place on the top bit where ``lo`` and ``hi`` differ.
 
-    Returns ``(boundary, low_max, swaps)``: the low side is
-    ``data[start:boundary]``, with minimum ``lo`` and maximum ``low_max``.
+    ``lo`` and ``hi`` must bound every word of the slice.  They agree above
+    that bit ``b``, and so does every word between them, so a word has bit
+    ``b`` set exactly when it is at least ``mid = (lo >> b | 1) << b``: one
+    comparison sends a word to its side.  Returns ``(boundary, low_max,
+    swaps)``: the low side is ``data[start:boundary]``, with minimum ``lo``
+    and maximum ``low_max``.
     """
-    bit = 1 << ((lo ^ hi).bit_length() - 1)
+    b = (lo ^ hi).bit_length() - 1
+    mid = (lo >> b | 1) << b
     i, j = start, stop - 1
     low_max, swaps = lo, 0
     while i <= j:
         v = data[i]
-        if not v & bit:
+        if v < mid:
             if v > low_max:
                 low_max = v
             i += 1
-        elif data[j] & bit:
+        elif data[j] >= mid:
             j -= 1
         else:
             data[i], data[j] = data[j], v
@@ -550,8 +568,9 @@ def _sort(
     again from the data: it is the run of words agreeing with its first
     word ``x`` above ``b``, the top bit where ``x`` and the sorted maximum
     differ, for the split that parted them was on ``b`` and every value it
-    split agrees above it.  A remainder lies inside its bucket, so
-    splitting it keeps this true.  The pass count stays in a local and the
+    split agrees above it.  Every later bucket lies above that run, so the
+    scan stops at the first word at or above ``((x >> b) + 1) << b``.  A
+    remainder lies inside its bucket, so splitting it keeps this true.  The pass count stays in a local and the
     report is built once, at the end; its ``total_sorted`` is how far the
     sorted prefix advanced, the sum of every pass's ``sorted_count``.
     """
@@ -599,11 +618,11 @@ def _sort(
         bias = 0
         if pos < end:
             b = (data[pos - 1] ^ data[pos]).bit_length() - 1
-            prefix = data[pos] >> b
+            bound = ((data[pos] >> b) + 1) << b
             lo, hi = limit, -1
             while stop < end:
                 v = data[stop]
-                if v >> b != prefix:
+                if v >= bound:
                     break
                 if v < lo:
                     lo = v

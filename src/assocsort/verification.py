@@ -161,9 +161,42 @@ def check_pass_counts(seed: int) -> SuiteResult:
     return result
 
 
+def _bound_case(word: WordSpec, rng: random.Random) -> tuple[list[int], int]:
+    """(values, delta) for one region holding both ``top - 1`` and ``top``.
+
+    ``top = delta + (w-1)*n`` is the bound practice defers at, so the first
+    of the two is the last in-range value and the second the first deferred
+    one.  The other values are drawn on both sides of the bound, all below
+    the tag.
+    """
+    wm1 = word.w - 1
+    n = rng.randint(2, min(64, (word.tag_mask - 1) // wm1))
+    delta = rng.randint(0, word.tag_mask - 1 - wm1 * n)
+    top = delta + wm1 * n
+    values = {top - 1, top}
+    ceiling = min(word.tag_mask, top + wm1 * n)
+    while len(values) < n:
+        values.add(rng.randrange(delta, ceiling))
+    data = list(values)
+    rng.shuffle(data)
+    return data, delta
+
+
 def check_tally_oracle(trials: int, seed: int) -> SuiteResult:
-    """practice_pass counters must match the set-based recomputation."""
+    """practice_pass counters must match the set-based recomputation.
+
+    Besides the mixed trials, one region per width in ``VERIFY_WIDTHS``
+    holds both sides of the deferral bound ``delta + (w-1)*n``.
+    """
     result = SuiteResult("tally_oracle", 0, 0)
+    rng = random.Random(seed)
+    for w in VERIFY_WIDTHS:
+        word = WordSpec(w)
+        data, delta = _bound_case(word, rng)
+        expected = verify_pass_tally(data, delta, len(data), word)
+        got = practice_pass(list(data), Region(0, len(data), delta), word, None)
+        note = f"bound w={w} delta={delta} n={len(data)} got={got} want={expected}"
+        result.record(got == expected, note)
     for t in range(trials):
         word, ds = sample_case(seed * 7_368_787 + t)
         data = generate(ds)

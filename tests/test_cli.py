@@ -172,6 +172,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 0
         assert "oracle_equivalence: 25/25 ok" in captured.out
+        assert "tally_oracle: 29/29 ok" in captured.out  # 25 trials, 4 bound regions
         assert "clobber_regression" in captured.out
 
 

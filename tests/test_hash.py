@@ -67,19 +67,46 @@ def test_round_trip_property(data):
     assert compute_hash(v, delta, n, spec) == (j, k)
 
 
-@settings(max_examples=80, deadline=None)
+# The phases classify a word with one comparison each, against bounds formed
+# once per pass or split; these pin every bound to the test it replaces.
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_out_of_range_iff_beyond_interval(data):
-    w = data.draw(st.integers(2, 32))
+    w = data.draw(st.integers(2, 64))
     spec = WordSpec(w)
-    n = data.draw(st.integers(1, 4096))
-    delta = data.draw(st.integers(0, 1 << 20))
-    v = data.draw(st.integers(delta, delta + 4 * (w - 1) * n))
-    result = compute_hash(v, delta, n, spec)
-    if v - delta < (w - 1) * n:
-        assert result is not None
-    else:
-        assert result is None
+    n = data.draw(st.integers(1, 1 << 64))
+    delta = data.draw(st.integers(min_value=0))
+    top = delta + (w - 1) * n
+    near = st.integers(max(delta, top - 2 * w), top + 2 * w)
+    drawn = data.draw(st.one_of(st.integers(delta, top + 4 * (w - 1) * n), near))
+    for v in (drawn, top - 1, top):
+        assert (v >= top) == (compute_hash(v, delta, n, spec) is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_tag_comparison_matches_the_mask(data):
+    w = data.draw(st.integers(2, 64))
+    tag = WordSpec(w).tag_mask
+    drawn = data.draw(st.integers(0, (1 << w) - 1))
+    for x in (drawn, tag - 1, tag):
+        assert (x >= tag) == bool(x & tag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_split_midpoint_matches_the_bit(data):
+    w = data.draw(st.integers(2, 64))
+    hi = data.draw(st.integers(1, (1 << w) - 1))
+    lo = data.draw(st.integers(0, hi - 1))
+    b = (lo ^ hi).bit_length() - 1
+    mid = (lo >> b | 1) << b
+    assert lo < mid <= hi
+    drawn = data.draw(st.integers(lo, hi))
+    for v in (drawn, mid - 1, mid):
+        assert (v >= mid) == bool(v & (1 << b))
 
 
 def test_invalid_widths_rejected():
