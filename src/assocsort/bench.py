@@ -85,8 +85,10 @@ def run_suite(suite: list[DatasetSpec], repetitions: int = 1) -> list[BenchRecor
     """Generate, time and verify every (dataset, algorithm, repetition) cell.
 
     Each dataset runs under every algorithm in ``ALGORITHMS``, in that
-    order.  The clock wraps only the sort call; generation and verification
-    are outside it.  ``counting_baseline`` is skipped when the dataset's
+    order.  One clock wraps only the sort call, the same for every
+    algorithm; generation and verification are outside it.  Passes and
+    words scanned come from the in-place sorter's report and are 0 for the
+    baselines.  ``counting_baseline`` is skipped when the dataset's
     value range exceeds ``DEFAULT_COUNTING_CAP``.  Raises ValueError when
     ``repetitions`` is below 1, and VerificationFailed (reporting the
     offending seed) the moment any run disagrees with the oracle.
@@ -105,22 +107,15 @@ def run_suite(suite: list[DatasetSpec], repetitions: int = 1) -> list[BenchRecor
                 continue
             for _ in range(repetitions):
                 buf = list(data)
-                passes = 0
-                scanned = 0
+                t0 = time.perf_counter_ns()
                 if name == "assoc":
                     report = sort(buf, word)
                     result = buf
-                    nanos = report.elapsed_ns
-                    passes = report.pass_count
-                    scanned = report.words_scanned
                 elif name == "oracle_comparison":
-                    t0 = time.perf_counter_ns()
                     result = sorted(buf)
-                    nanos = time.perf_counter_ns() - t0
                 else:
-                    t0 = time.perf_counter_ns()
                     result = counting_sort(buf)
-                    nanos = time.perf_counter_ns() - t0
+                nanos = time.perf_counter_ns() - t0
                 if result != expected:
                     raise VerificationFailed(
                         f"{name} produced wrong output for family={ds.family} "
@@ -133,8 +128,8 @@ def run_suite(suite: list[DatasetSpec], repetitions: int = 1) -> list[BenchRecor
                         n=ds.n,
                         m=m,
                         w=ds.w,
-                        passes=passes,
-                        words_scanned=scanned,
+                        passes=report.pass_count if name == "assoc" else 0,
+                        words_scanned=report.words_scanned if name == "assoc" else 0,
                         nanos=max(nanos, 1),
                         seed=ds.seed,
                     )

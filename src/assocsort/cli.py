@@ -14,7 +14,7 @@ from collections.abc import MutableSequence
 
 from .bench import VerificationFailed, emit_csv, run_suite
 from .data_io import FORMATS, opened, read_list, write_list
-from .engine import HOST_SPEC, CorruptState, PhaseEvent, WordSpec, sort
+from .engine import HOST_SPEC, CorruptState, PhaseEvent, WordSpec, compute_hash, sort
 from .generators import FAMILIES, DatasetSpec
 from .verification import run_all
 
@@ -160,7 +160,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _classify(phase: str, rel: int, low: int, tagged: bool, event: PhaseEvent, w: int) -> str:
+def _classify(
+    phase: str, rel: int, low: int, tagged: bool, event: PhaseEvent, word: WordSpec
+) -> str:
     tally = event.tally
     region = event.region
     if phase == "retrieve":
@@ -169,7 +171,7 @@ def _classify(phase: str, rel: int, low: int, tagged: bool, event: PhaseEvent, w
         return "record"
     if tagged:
         return "node"
-    if low >= region.delta and (low - region.delta) // (w - 1) < region.length:
+    if low >= region.delta and compute_hash(low, region.delta, region.length, word) is not None:
         return "idle"
     return "out-of-range"
 
@@ -187,7 +189,7 @@ def _trace_hook(word: WordSpec):
             v = event.data[region.offset + rel]
             tagged = bool(v & word.tag_mask)
             low = v & word.value_mask
-            cls = _classify(event.phase, rel, low, tagged, event, word.w)
+            cls = _classify(event.phase, rel, low, tagged, event, word)
             print(f"  [{region.offset + rel}] tag={int(tagged)} low={low} {cls}")
 
     return hook

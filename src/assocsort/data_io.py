@@ -136,28 +136,38 @@ def read_list(source: Source, fmt: str) -> MutableSequence[int]:
     return _parse_text(blob) if fmt == "text" else _parse_binary(blob)
 
 
+def _is_words(values: Sequence[int]) -> bool:
+    return isinstance(values, array) and values.typecode == "Q"
+
+
 def _packed(values: Sequence[int]) -> array:
     """``values`` as an ``array("Q")`` in file order, copied only when needed."""
-    if isinstance(values, array) and values.typecode == "Q":
+    if _is_words(values):
         # Swap a copy, never the caller's array.
         return _swap_if_big(array("Q", values)) if sys.byteorder == "big" else values
     try:
         return _swap_if_big(array("Q", values))
-    except (OverflowError, TypeError) as exc:
+    except OverflowError as exc:
         raise ValueExceedsUniverse(f"value does not fit in 8 bytes: {exc}") from exc
 
 
 def write_list(values: Sequence[int], destination: Source, fmt: str) -> None:
     """Write values so that read_list reproduces them exactly.
 
-    An ``array("Q")`` is written from its own buffer (through a swapped
-    copy on a big-endian host); any other sequence is packed once.
+    Every value must be a non-negative ``int`` (a ``bool`` is not one), and
+    in binary below ``2**64``; anything else raises ValueExceedsUniverse
+    before the destination is opened.  An ``array("Q")`` holds only such
+    values and is written from its own buffer (through a swapped copy on a
+    big-endian host); any other sequence is checked, then packed once.
     """
     _check_format(fmt)
-    if fmt == "text":
+    if not _is_words(values):
         for idx, v in enumerate(values):
+            if type(v) is not int:
+                raise ValueExceedsUniverse(f"value {v!r} at index {idx} is not an int")
             if v < 0:
-                raise ValueError(f"negative value {v} at index {idx}")
+                raise ValueExceedsUniverse(f"negative value {v} at index {idx}")
+    if fmt == "text":
         payload: str | array = "".join(f"{v}\n" for v in values)
     else:
         payload = _packed(values)

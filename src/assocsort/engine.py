@@ -273,7 +273,7 @@ def practice_pass(
     n_d = 0
     n_c = 0
     n_out = 0
-    delta_next: int | None = None
+    delta_next = tag  # above every word that reaches the deferral test
     rescans = 0
 
     i = base
@@ -284,7 +284,7 @@ def practice_pass(
             continue
         if s >= top:
             n_out += 1
-            if delta_next is None or s < delta_next:
+            if s < delta_next:
                 delta_next = s
             i += 1
             continue
@@ -319,7 +319,7 @@ def practice_pass(
     if work is not None:
         work.scanned += n + rescans
         work.written += n_c + 2 * n_d
-    return PassTally(n_d, n_c, n_out, delta_next)
+    return PassTally(n_d, n_c, n_out, delta_next if n_out else None)
 
 
 def store_records(
@@ -489,8 +489,29 @@ def run_pass(
     return tally
 
 
+def _check_item_width(data: MutableSequence[int], w: int) -> None:
+    """Refuse an ``array`` or ``memoryview`` whose items cannot hold ``[0, 2**w)``.
+
+    The passes write tagged words up to ``2**w - 1``, so a narrower item
+    would fail midway through a pass, after words had moved.  Unsigned
+    typecodes ``BHILQ`` hold ``8*itemsize`` bits, signed ``bhilq`` one
+    fewer; any other typecode is refused.  A sequence with neither a
+    ``typecode`` nor a ``format`` holds any int.
+    """
+    code = getattr(data, "typecode", None) or getattr(data, "format", None)
+    if code is None:
+        return
+    bits = 0
+    if code in ("B", "H", "I", "L", "Q"):
+        bits = 8 * data.itemsize
+    elif code in ("b", "h", "i", "l", "q"):
+        bits = 8 * data.itemsize - 1
+    if bits < w:
+        raise TypeError(f"items of typecode {code!r} cannot hold every {w}-bit word")
+
+
 def _validate_bounds(
-    data: MutableSequence[int], offset: int, length: int, spec: WordSpec, limit: int
+    data: MutableSequence[int], offset: int, length: int, limit: int
 ) -> tuple[int, int]:
     """Check every value of the window is an int in ``[0, limit)``.
 
@@ -570,13 +591,15 @@ def _sort(
     differ, for the split that parted them was on ``b`` and every value it
     split agrees above it.  Every later bucket lies above that run, so the
     scan stops at the first word at or above ``((x >> b) + 1) << b``.  A
-    remainder lies inside its bucket, so splitting it keeps this true.  The pass count stays in a local and the
-    report is built once, at the end; its ``total_sorted`` is how far the
-    sorted prefix advanced, the sum of every pass's ``sorted_count``.
+    remainder lies inside its bucket, so splitting it keeps this true.  The
+    pass count stays in a local and the report is built once, at the end;
+    its ``total_sorted`` is how far the sorted prefix advanced, the sum of
+    every pass's ``sorted_count``.
     """
     started = time.perf_counter_ns()
     work = WorkCounter()
-    lo, hi = _validate_bounds(data, offset, length, spec, limit)
+    _check_item_width(data, spec.w)
+    lo, hi = _validate_bounds(data, offset, length, limit)
     work.scanned += length
     tag = spec.tag_mask
     wm1 = spec.w - 1
@@ -645,11 +668,12 @@ def sort_region(
     """Sort ``data[offset:offset+length]`` ascending in place.
 
     ``data`` may be a ``list``, an ``array("Q")`` or a ``memoryview`` cast
-    to ``"Q"``; the passes index it and never resize it.  Values must be
-    pairwise distinct ints below the tag bit (``< 2**(w-1)``).  Runs as many
-    passes as the value spread requires; each pass appends its interval to
-    the sorted prefix, so after pass t the first ``sum(sorted_count)`` words
-    are final.
+    to ``"Q"``; the passes index it and never resize it.  An ``array`` or
+    ``memoryview`` whose items cannot hold ``2**w - 1`` raises TypeError
+    before any write.  Values must be pairwise distinct ints below the tag
+    bit (``< 2**(w-1)``).  Runs as many passes as the value spread
+    requires; each pass appends its interval to the sorted prefix, so after
+    pass t the first ``sum(sorted_count)`` words are final.
     """
     if length is None:
         length = len(data) - offset
@@ -667,11 +691,13 @@ def sort(
 
     ``data`` may be a ``list``, an ``array("Q")`` or a ``memoryview`` cast
     to ``"Q"``; the splitter and the passes index it and never resize it.
-    The value range is split in place into buckets narrow enough for the
-    passes, and what a pass leaves unsorted is split again once it is too
-    wide for its length, so adversarially spaced values cost linear scan
-    work, not a pass over the whole rest each.  Values at or above
-    ``2**(w-1)`` are sorted shifted down by their bucket's minimum; the
-    report covers every bucket and sweep.
+    An ``array`` or ``memoryview`` whose items cannot hold ``2**w - 1``
+    raises TypeError before any write.  The value range is split in place
+    into buckets narrow enough for the passes, and what a pass leaves
+    unsorted is split again once it is too wide for its length, so
+    adversarially spaced values cost linear scan work, not a pass over the
+    whole rest each.  Values at or above ``2**(w-1)`` are sorted shifted
+    down by their bucket's minimum; the report covers every bucket and
+    sweep.
     """
     return _sort(data, spec, 0, len(data), hook, spec.universe)

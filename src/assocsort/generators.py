@@ -90,8 +90,6 @@ def _sample_distinct(rng: random.Random, bound: int, n: int) -> list[int]:
 def gen_uniform(spec: DatasetSpec) -> list[int]:
     """n distinct values uniform over ``[0, beta*n*(w-1))``, seeded."""
     word = WordSpec(spec.w)
-    if spec.n == 0:
-        return []
     bound = spec.beta * spec.n * (spec.w - 1)
     if bound > word.tag_mask:
         raise InfeasibleRange(
@@ -107,8 +105,6 @@ def gen_adversarial(n: int, spec: WordSpec) -> list[int]:
     The spacing uses the original n in every gap, so later (smaller) passes
     still cover exactly one value each.
     """
-    if n == 0:
-        return []
     top = (n - 1) * (spec.w - 1) * n
     if top >= spec.tag_mask:
         raise InfeasibleRange(
@@ -142,8 +138,6 @@ def gen_best_case(
 def gen_full_universe(spec: DatasetSpec) -> list[int]:
     """n distinct values uniform over the whole ``[0, 2**w)`` universe."""
     word = WordSpec(spec.w)
-    if spec.n == 0:
-        return []
     return _sample_distinct(random.Random(spec.seed), word.universe, spec.n)
 
 

@@ -200,7 +200,7 @@ def check_tally_oracle(trials: int, seed: int) -> SuiteResult:
     for t in range(trials):
         word, ds = sample_case(seed * 7_368_787 + t)
         data = generate(ds)
-        if not data or ds.family == "full_universe":
+        if ds.family == "full_universe":
             data = [v % word.tag_mask for v in data]
             data = sorted(set(data))  # full-universe values folded below the tag
             random.Random(t).shuffle(data)

@@ -139,6 +139,23 @@ class TestBinary:
                 write_list(values, io.BytesIO(), "binary")
 
 
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize(
+    "value, message",
+    [(1.5, "value 1.5 at index 1 is not an int"),
+     (True, "value True at index 1 is not an int"),
+     (-1, "negative value -1 at index 1")],
+    ids=["float", "bool", "negative"],
+)
+def test_write_rejects_what_read_cannot_return(fmt, value, message, tmp_path):
+    # read_list returns non-negative ints only, so write_list refuses
+    # anything else, and before it opens (and creates) the destination.
+    path = tmp_path / "out"
+    with pytest.raises(ValueExceedsUniverse, match=message):
+        write_list([7, value], path, fmt)
+    assert not path.exists()
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         read_list(io.StringIO(""), "xml")

@@ -334,6 +334,31 @@ def test_packed_words_sort_like_a_list(sorter):
     assert checked >= 100
 
 
+def _narrow_sequences(values):
+    """Packed sequences whose items cannot hold every 64-bit word."""
+    yield array("I", values)
+    yield array("q", values)
+    yield memoryview(bytearray(array("I", values).tobytes())).cast("I")
+
+
+@pytest.mark.parametrize("sorter", [sort, sort_region])
+def test_narrow_packed_words_rejected_before_any_write(sorter):
+    # A pass writes tagged words up to 2**w - 1, so an item too narrow for
+    # them must be refused before the first write, not midway through.
+    rng = random.Random(0)
+    for _ in range(20):
+        values = rng.sample(range(2000), 50)
+        for packed in _narrow_sequences(values):
+            with pytest.raises(TypeError, match="typecode '[Iq]' .* 64-bit"):
+                sorter(packed, WordSpec(64))
+            assert packed.tolist() == values
+    for code, w in (("I", 32), ("H", 16)):
+        values = rng.sample(range(2000), 50)
+        packed = array(code, values)
+        sorter(packed, WordSpec(w))
+        assert packed.tolist() == sorted(values)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     values=st.lists(st.integers(0, (1 << 16) - 1), unique=True, max_size=80),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from assocsort import (
+    FAMILIES,
     DatasetSpec,
     InfeasibleRange,
     PassTally,
@@ -55,9 +56,6 @@ class TestUniform:
     def test_infeasible_range(self):
         with pytest.raises(InfeasibleRange):
             gen_uniform(DatasetSpec("uniform", 4096, 16, beta=2, seed=0))
-
-    def test_empty(self):
-        assert gen_uniform(DatasetSpec("uniform", 0, 16, seed=0)) == []
 
 
 class TestAdversarial:
@@ -138,6 +136,16 @@ class TestGenerateDispatch:
         data = list(values)
         sort(data, W16)
         assert data == oracle_sort(values)
+
+    # full_universe samples a materialized range up to w=22, by rejection above.
+    @pytest.mark.parametrize("beta", [1, 8], ids=lambda b: f"beta{b}")
+    @pytest.mark.parametrize("w", [2, 3, 8, 16, 22, 23, 24, 64], ids=lambda w: f"w{w}")
+    def test_empty(self, w, beta):
+        for family in FAMILIES:
+            assert generate(DatasetSpec(family, 0, w, beta=beta)) == [], family
+        word = WordSpec(w)
+        assert gen_adversarial(0, word) == []
+        assert gen_best_case(0, word, delta=word.tag_mask) == []
 
     def test_bad_family_rejected(self):
         with pytest.raises(ValueError):

@@ -32,3 +32,27 @@ def test_package_exports_each_module_list_once():
     namespace: dict = {}
     exec("from assocsort import *", namespace)
     assert set(assocsort.__all__) <= namespace.keys()
+
+
+def _parameters(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    args = func.args
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return [arg.arg for arg in every if arg is not None]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    # A parameter no body reads is a dead knob that callers still have to set.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {
+            node.id
+            for stmt in func.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{func.name}({name})" for name in _parameters(func) if name not in read]
+    assert not unused, f"{path.name} has unused parameters: {unused}"
