@@ -38,6 +38,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 HOST_BITS = 64
+# Passes on a sparse bucket of L <= 8 words scan at most L*(L+1)/2 = 36
+# words, less than the partition sweeps and successor scans of splitting it.
+_SPLIT_FLOOR = 8
 
 __all__ = [
     "HOST_BITS",
@@ -319,7 +322,8 @@ def practice_pass(
     if work is not None:
         work.scanned += n + rescans
         work.written += n_c + 2 * n_d
-    return PassTally(n_d, n_c, n_out, delta_next if n_out else None)
+    # tuple.__new__ skips the named tuple's Python-level __new__.
+    return tuple.__new__(PassTally, (n_d, n_c, n_out, delta_next if n_out else None))
 
 
 def store_records(
@@ -333,16 +337,23 @@ def store_records(
 
     Only low bits move; every tag stays at its original index, so the r-th
     record from the left still belongs to the r-th tagged word from the left.
-    Terminates after exactly ``n_d`` swaps.  Contributes mutations to the
-    work counter; cursor steps of the shuffling phases are not scan work.
+    The run of tagged words at the region start already holds its records in
+    their slots and is skipped; each later record is swapped into place, so
+    the phase writes ``2*moved`` words for the ``moved`` records it swaps,
+    none on a one-value pass.  Contributes those writes to the work counter;
+    cursor steps of the shuffling phases are not scan work.
     Every word must be below ``2**w``, which the sort entry points validate,
     so a word is tagged exactly when it is at least ``2**(w-1)``.
     """
     tag = spec.tag_mask
     vmask = spec.value_mask
     i = region.offset
-    j = region.offset
     k = n_d
+    while k and data[i] >= tag:
+        i += 1
+        k -= 1
+    j = i
+    moved = k
     while k:
         si = data[i]
         if si >= tag:
@@ -353,7 +364,7 @@ def store_records(
             k -= 1
         i += 1
     if work is not None:
-        work.written += 2 * n_d
+        work.written += 2 * moved
 
 
 def partition_idles(
@@ -369,10 +380,13 @@ def partition_idles(
     ``n_c`` in-range values come first and the deferred values last.  Tags
     stay put; a payload is deferred iff its hash quotient reaches the region
     length, that is iff it is at least ``delta + (w-1)*length``, a bound
-    formed once per call.  Terminates after exactly ``n_c`` placements.
-    Every word must be below ``2**w``, which the sort entry points validate;
-    the tag ``2**(w-1)`` is then the word's top bit.
+    formed once per call.  Terminates after exactly ``n_c`` placements, and
+    returns at once, writing nothing, when there are none.  Every word must
+    be below ``2**w``, which the sort entry points validate; the tag
+    ``2**(w-1)`` is then the word's top bit.
     """
+    if tally.n_c == 0:
+        return
     tag = spec.tag_mask
     vmask = spec.value_mask
     top = region.delta + (spec.w - 1) * region.length
@@ -490,22 +504,27 @@ def run_pass(
 
 
 def _check_item_width(data: MutableSequence[int], w: int) -> None:
-    """Refuse an ``array`` or ``memoryview`` whose items cannot hold ``[0, 2**w)``.
+    """Refuse a buffer whose items cannot hold ``[0, 2**w)``.
 
     The passes write tagged words up to ``2**w - 1``, so a narrower item
-    would fail midway through a pass, after words had moved.  Unsigned
-    typecodes ``BHILQ`` hold ``8*itemsize`` bits, signed ``bhilq`` one
-    fewer; any other typecode is refused.  A sequence with neither a
-    ``typecode`` nor a ``format`` holds any int.
+    would fail midway through a pass, after words had moved.  The item
+    format and size are read through the buffer protocol, so an ``array``,
+    a ``memoryview`` and a ``bytearray`` follow one rule: unsigned formats
+    ``BHILQ`` hold ``8*itemsize`` bits, signed ``bhilq`` one fewer, and any
+    other format is refused.  A sequence without the buffer protocol, such
+    as a ``list``, holds any int.
     """
-    code = getattr(data, "typecode", None) or getattr(data, "format", None)
-    if code is None:
+    try:
+        view = memoryview(data)
+    except TypeError:
         return
+    with view:
+        code, size = view.format, view.itemsize
     bits = 0
     if code in ("B", "H", "I", "L", "Q"):
-        bits = 8 * data.itemsize
+        bits = 8 * size
     elif code in ("b", "h", "i", "l", "q"):
-        bits = 8 * data.itemsize - 1
+        bits = 8 * size - 1
     if bits < w:
         raise TypeError(f"items of typecode {code!r} cannot hold every {w}-bit word")
 
@@ -578,9 +597,13 @@ def _sort(
     and ``hi``, and the ``bias`` its words are shifted down by; each step
     splits the bucket or runs one pass on it.  ``sort_region`` never
     splits.  ``sort`` splits a bucket of length L spanning at least
-    ``2**(w-1)`` or ``(w-1)*L**2`` with :func:`_split_low` and goes on with
-    its low side, since below that span the passes cost no more than one
-    pass per value.  A pass moves its sorted words out of the bucket and
+    ``2**(w-1)``, or spanning at least ``(w-1)*L**2`` when L exceeds 8, with
+    :func:`_split_low` and goes on with its low side, since below that span
+    the passes cost no more than one pass per value.  A bucket of at most 8
+    words is passed however sparse it is, because its passes scan at most
+    36 words, less than splitting it costs; the tag clause holds at any
+    length, since after the bias shift a pass needs every word below the
+    tag.  A pass moves its sorted words out of the bucket and
     leaves the deferred rest as the current bucket, ``lo`` its deferred
     minimum, so the same rule decides whether to pass again or split.  A
     bucket reaching the tag bit is shifted down by ``lo`` before its first
@@ -610,7 +633,8 @@ def _sort(
     bias = 0
     while pos < end:
         size = stop - pos
-        if split and (hi - lo >= tag or hi - lo >= wm1 * size * size):
+        span = hi - lo
+        if split and (span >= tag or (size > _SPLIT_FLOOR and span >= wm1 * size * size)):
             if bias:
                 for idx in range(pos, stop):
                     data[idx] += bias
@@ -625,7 +649,9 @@ def _sort(
             for idx in range(pos, stop):
                 data[idx] -= bias
             work.written += size
-        tally = run_pass(data, Region(pos, size, lo - bias), spec, work, hook, passes, bias)
+        # The indices are valid here, so skip Region's checking __new__.
+        region = tuple.__new__(Region, (pos, size, lo - bias))
+        tally = run_pass(data, region, spec, work, hook, passes, bias)
         passes += 1
         done = tally.n_d + tally.n_c
         if bias:

@@ -16,6 +16,7 @@ All generators are deterministic functions of their parameters and seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ __all__ = [
     "DatasetSpec",
     "gen_uniform",
     "gen_adversarial",
+    "max_adversarial_n",
     "gen_best_case",
     "gen_full_universe",
     "generate",
@@ -99,13 +101,30 @@ def gen_uniform(spec: DatasetSpec) -> list[int]:
     return _sample_distinct(random.Random(spec.seed), bound, spec.n)
 
 
+def _adversarial_top(n: int, spec: WordSpec) -> int:
+    """Largest value of :func:`gen_adversarial`'s n values; it must stay below the tag."""
+    return (n - 1) * (spec.w - 1) * n
+
+
+def max_adversarial_n(spec: WordSpec, cap: int) -> int:
+    """Largest ``n <= cap`` that :func:`gen_adversarial` accepts at this width.
+
+    ``(n-1)**2 <= (n-1)*n``, so the start ``isqrt(2**(w-1) // (w-1)) + 1``
+    is at least the answer, and the walk down from it is short.
+    """
+    n = min(cap, math.isqrt(spec.tag_mask // (spec.w - 1)) + 1)
+    while n > 1 and _adversarial_top(n, spec) >= spec.tag_mask:
+        n -= 1
+    return n
+
+
 def gen_adversarial(n: int, spec: WordSpec) -> list[int]:
     """Values ``t*(w-1)*n`` for ``t < n``: one lands in each pass interval.
 
     The spacing uses the original n in every gap, so later (smaller) passes
     still cover exactly one value each.
     """
-    top = (n - 1) * (spec.w - 1) * n
+    top = _adversarial_top(n, spec)
     if top >= spec.tag_mask:
         raise InfeasibleRange(
             f"adversarial spread {top} does not fit below 2^{spec.w - 1}"

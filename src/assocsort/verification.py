@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .engine import Region, WordSpec, practice_pass, run_pass, sort, sort_region
-from .generators import DatasetSpec, generate
+from .generators import DatasetSpec, generate, max_adversarial_n
 from .oracles import oracle_sort, verify_pass_tally
 
 __all__ = [
@@ -49,16 +49,6 @@ class SuiteResult:
                 self.first_failure = note
 
 
-def _max_adversarial_n(word: WordSpec, cap: int) -> int:
-    # Largest n with (n-1)*(w-1)*n < 2^(w-1), found by walking down from cap.
-    n = cap
-    while n > 1 and (n - 1) * (word.w - 1) * n >= word.tag_mask:
-        n //= 2
-    while (n + 1) * word.w * (n + 1) < word.tag_mask and n < cap:
-        n += 1
-    return n
-
-
 def _log_uniform(rng: random.Random, cap: int) -> int:
     if cap <= 1:
         return cap
@@ -90,7 +80,7 @@ def sample_case(trial_seed: int) -> tuple[WordSpec, DatasetSpec]:
     elif family == "full_universe":
         cap = min(256, word.universe)
     else:
-        cap = min(256, _max_adversarial_n(word, 256))
+        cap = max_adversarial_n(word, 256)
     n = _log_uniform(rng, cap) if rng.random() > 0.02 else 0
     return word, DatasetSpec(family, n, w, beta=beta, seed=trial_seed)
 

@@ -357,6 +357,16 @@ def test_narrow_packed_words_rejected_before_any_write(sorter):
         packed = array(code, values)
         sorter(packed, WordSpec(w))
         assert packed.tolist() == sorted(values)
+    # A bytearray has neither typecode nor format attribute; its items are
+    # read through the buffer protocol like an array's.
+    for _ in range(20):
+        values = rng.sample(range(128), 50)
+        packed = bytearray(values)
+        with pytest.raises(TypeError, match="typecode 'B' .* 64-bit"):
+            sorter(packed, WordSpec(64))
+        assert packed == bytearray(values)
+        sorter(packed, WordSpec(8))
+        assert list(packed) == sorted(values)
 
 
 @settings(max_examples=120, deadline=None)

@@ -15,11 +15,13 @@ from assocsort import (
     gen_full_universe,
     gen_uniform,
     generate,
+    generators,
     oracle_sort,
     predict_worst_pass_bound,
     sort,
     verify_pass_tally,
 )
+from assocsort.verification import VERIFY_WIDTHS
 
 W16 = WordSpec(16)
 
@@ -81,6 +83,19 @@ class TestAdversarial:
         # 3*3*4 = 36 does not fit below 2^3
         with pytest.raises(InfeasibleRange):
             gen_adversarial(4, WordSpec(4))
+
+    @pytest.mark.parametrize("w", VERIFY_WIDTHS)
+    def test_max_n_is_the_largest_feasible(self, w):
+        # sample_case draws adversarial sizes up to this cap; at w=16 the
+        # largest n that gen_adversarial accepts is 47.
+        word = WordSpec(w)
+        cap = 256
+        n = generators.max_adversarial_n(word, cap)
+        assert len(gen_adversarial(n, word)) == n
+        if n < cap:
+            with pytest.raises(InfeasibleRange):
+                gen_adversarial(n + 1, word)
+        assert generators.max_adversarial_n(word, n) == n
 
 
 class TestBestCase:

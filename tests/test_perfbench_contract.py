@@ -33,11 +33,12 @@ def _load_tracing():
     [
         # one pass per value, all below the tag: after the second pass the
         # remainder's span reaches (w-1)*L**2 and it goes back to the
-        # splitter, whose partition sweeps and bucket scans are pinned here
-        (gen_adversarial(16, WordSpec(16)), WordSpec(16), False, 81),
+        # splitter, whose partition sweeps and bucket scans are pinned here;
+        # a bucket of at most 8 words is passed, not split
+        (gen_adversarial(16, WordSpec(16)), WordSpec(16), False, 21),
         # values on both sides of 2**63: the range splitter runs first, its
         # partition sweeps and bucket scans pinned for this fixed input
-        (generate(DatasetSpec("full_universe", 64, 64, seed=3)), WordSpec(64), True, 622),
+        (generate(DatasetSpec("full_universe", 64, 64, seed=3)), WordSpec(64), True, 373),
     ],
     ids=["no_split", "tag_split"],
 )

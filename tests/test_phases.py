@@ -29,6 +29,7 @@ from assocsort import (
     verify_pass_tally,
 )
 from assocsort.verification import clobber_cases
+from test_driver import CountingList
 
 W8 = WordSpec(8)
 TAG = W8.tag_mask
@@ -147,6 +148,27 @@ class TestStore:
         store_records(data, region, tally.n_d, W8)
         assert data == snapshot
 
+    @pytest.mark.parametrize("m", range(4))
+    def test_leading_records_stay_in_place(self, m):
+        # The first m words are tagged and hold their own records already;
+        # the one record after the gap is swapped into slot m.
+        records = [0b101, 0b11, 0b1000, 0b1][:m]
+        data = CountingList([TAG | r for r in records] + [50, TAG | 0b110])
+        head = data[:m]
+        n_d = m + 1
+        work = WorkCounter()
+        store_records(data, Region(0, len(data), 0), n_d, W8, work)
+        assert data[:m] == head
+        assert data[m:] == [0b110, TAG | 50]
+        assert work.written == 2 * (n_d - m) == data.writes
+
+    def test_one_value_pass_writes_nothing(self):
+        data = CountingList([TAG | 1])
+        work = WorkCounter()
+        store_records(data, Region(0, 1, 7), 1, W8, work)
+        assert data == [TAG | 1]
+        assert data.writes == work.written == 0
+
     def test_record_order_follows_tag_order(self):
         values = [40, 3, 18, 0, 25, 9, 32, 11]
         data = list(values)
@@ -178,6 +200,16 @@ class TestPartition:
         snapshot = list(data)
         partition_idles(data, region, tally, W8)
         assert data == snapshot
+
+    def test_no_idles_writes_nothing(self):
+        data = [0, 100, 50]
+        region = Region(0, 3, 0)
+        tally = practice_pass(data, region, W8)
+        assert tally.n_c == 0
+        data = CountingList(data)
+        work = WorkCounter()
+        partition_idles(data, region, tally, W8, work)
+        assert data.writes == work.written == 0
 
     def test_no_deferred_means_self_swaps_only(self):
         data = [9, 2, 0, 11]

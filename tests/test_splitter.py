@@ -12,6 +12,7 @@ spaced so that each pass sorts only one or a few of them.
 from __future__ import annotations
 
 import importlib.util
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -119,6 +120,46 @@ def test_adversarial_input_scans_linear_work():
     assert buf == sorted(values)
     assert report.pass_count == n
     assert report.words_scanned <= (2 * word.w + 4) * n
+
+
+def _split_calls(monkeypatch, values: list[int], word: WordSpec) -> int:
+    """Sort ``values`` and count the ``_split_low`` calls it makes."""
+    calls = 0
+    split_low = engine._split_low
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return split_low(*args)
+
+    monkeypatch.setattr(engine, "_split_low", counting)
+    buf = list(values)
+    report = sort(buf, word)
+    assert buf == sorted(values)
+    assert report.total_sorted == len(values)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_short_sparse_bucket_is_passed_not_split(monkeypatch, seed):
+    # All values lie below the tag, so only the span clause can split, and
+    # it applies to buckets of more than 8 words: 8 values spanning more
+    # than 63*8**2 reach no split, and 9 spanning more than 63*9**2 do.
+    word = WordSpec(64)
+    rng = random.Random(seed)
+    eight = rng.sample(range(1 << 40), 8)
+    assert max(eight) - min(eight) > 63 * 8**2
+    assert _split_calls(monkeypatch, eight, word) == 0
+    nine = rng.sample(range(1 << 40), 9)
+    assert max(nine) - min(nine) > 63 * 9**2
+    assert _split_calls(monkeypatch, nine, word) >= 1
+
+
+def test_tag_clause_splits_a_short_bucket(monkeypatch):
+    # After the bias shift a pass needs every word below the tag, so two
+    # words on both sides of 2**(w-1) are still split.
+    word = WordSpec(64)
+    assert _split_calls(monkeypatch, [word.tag_mask + 5, 1], word) == 1
 
 
 def _aux_peak(n: int) -> int:
