@@ -18,9 +18,9 @@ except ImportError:
 from assocsort import WordSpec, sort
 
 # A 16-bit universe holds values up to 65535.  sort() first splits the
-# value range in place until each bucket is narrow enough for the passes;
-# a bucket holding values at or above 2**15 is shifted down by its minimum
-# first, because of the tag bit.
+# value range in place until each bucket is narrow enough for the passes.
+# Because of the tag bit, the first bucket holding values at or above 2**15
+# shifts the unsorted rest down once, and the sort shifts it back at the end.
 word = WordSpec(16)
 data = [40_000, 7, 5_000, 62_001, 0, 33_000, 12, 9_999]
 
@@ -29,8 +29,8 @@ data = [40_000, 7, 5_000, 62_001, 0, 33_000, 12, 9_999]
 # Each pass covers one value interval; its tally, handed to the hook with
 # the pass's retrieve event, says how many values became nodes (n_d), how
 # many were absorbed as idle duplicates of a node's interval (n_c), and how
-# many waited for a later pass (n_d_prime).  Passes over a shifted bucket
-# run on values less its minimum; the event's bias adds the shift back.
+# many waited for a later pass (n_d_prime).  Passes after the shift run on
+# shifted values; the event's bias adds the shift back.
 def show_pass(event):
     if event.phase == "retrieve":
         tally = event.tally

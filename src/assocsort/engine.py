@@ -25,9 +25,10 @@ single sweep that writes nothing.  The tag occupies bit ``w-1``, so
 the whole window.  :func:`sort` accepts ``[0, 2**w)`` and splits the value
 range in place, MSD-radix style: each step splits the current bucket or
 runs one pass on it, and what a pass defers stays the current bucket, so a
-bucket the passes shrink too slowly goes back to the splitter.  A bucket
-that reaches the tag bit is shifted down by its own minimum.  The loop
-keeps no stack of pending buckets.
+bucket the passes shrink too slowly goes back to the splitter.  The first
+bucket that reaches the tag bit shifts the unsorted rest down once, and
+the loop shifts it back once at the end.  The loop keeps no stack of
+pending buckets.
 """
 
 from __future__ import annotations
@@ -192,9 +193,11 @@ class PhaseEvent:
     that order, each with the pass's tally.  Events are built only for a
     sort that was given a hook.
     ``data`` is the live backing sequence; hooks must treat it as read-only.
-    ``bias`` is the shift of a ``sort`` bucket reaching ``2**(w-1)``, whose
-    passes run on values less its minimum at its first pass (0 otherwise):
-    add it to ``region.delta`` or ``tally.delta_prime`` to get input units.
+    ``bias`` is the one shift of a ``sort`` call: from the first pass whose
+    bucket reaches ``2**(w-1)`` on, passes run on values less the smaller
+    of that bucket's minimum and ``2**(w-1)`` (0 before that pass, and on
+    every ``sort_region`` pass).  Add it to ``region.delta`` or
+    ``tally.delta_prime`` to get input units.
     """
 
     phase: str
@@ -593,31 +596,47 @@ def _sort(
 ) -> SortReport:
     """Validate ``data[offset:offset+length]`` against ``limit``, then sort it.
 
-    One loop owns the current bucket ``data[pos:stop]``, its bounds ``lo``
-    and ``hi``, and the ``bias`` its words are shifted down by; each step
-    splits the bucket or runs one pass on it.  ``sort_region`` never
-    splits.  ``sort`` splits a bucket of length L spanning at least
-    ``2**(w-1)``, or spanning at least ``(w-1)*L**2`` when L exceeds 8, with
-    :func:`_split_low` and goes on with its low side, since below that span
-    the passes cost no more than one pass per value.  A bucket of at most 8
-    words is passed however sparse it is, because its passes scan at most
-    36 words, less than splitting it costs; the tag clause holds at any
-    length, since after the bias shift a pass needs every word below the
-    tag.  A pass moves its sorted words out of the bucket and
-    leaves the deferred rest as the current bucket, ``lo`` its deferred
-    minimum, so the same rule decides whether to pass again or split.  A
-    bucket reaching the tag bit is shifted down by ``lo`` before its first
-    pass; each pass shifts back the words it sorted, and the rest is
-    shifted back only before a split.  An empty bucket's successor is found
-    again from the data: it is the run of words agreeing with its first
-    word ``x`` above ``b``, the top bit where ``x`` and the sorted maximum
-    differ, for the split that parted them was on ``b`` and every value it
-    split agrees above it.  Every later bucket lies above that run, so the
-    scan stops at the first word at or above ``((x >> b) + 1) << b``.  A
-    remainder lies inside its bucket, so splitting it keeps this true.  The
-    pass count stays in a local and the report is built once, at the end;
-    its ``total_sorted`` is how far the sorted prefix advanced, the sum of
-    every pass's ``sorted_count``.
+    One loop owns the current bucket ``data[pos:stop]`` and its bounds
+    ``lo`` and ``hi``; each step splits the bucket or runs one pass on it.
+    ``sort_region`` never splits.  ``sort`` splits a bucket of length L
+    spanning at least ``2**(w-1)``, or spanning at least ``(w-1)*L**2``
+    when L exceeds 8, with :func:`_split_low` and goes on with its low
+    side, since below that span the passes cost no more than one pass per
+    value.  A bucket of at most 8 words is passed however sparse it is,
+    because its passes scan at most 36 words, less than splitting it costs;
+    the tag clause holds at any length, since after the shift a pass needs
+    every word below the tag.  A pass moves its sorted words out of the
+    bucket and leaves the deferred rest as the current bucket, ``lo`` its
+    deferred minimum, so the same rule decides whether to pass again or
+    split.
+
+    One shift serves the whole sort.  At the first pass whose bucket has
+    ``hi >= 2**(w-1)``, every word of ``data[pos:end]``, and ``lo`` and
+    ``hi`` with them, is shifted down by ``bias = min(lo, 2**(w-1))``, and
+    ``upper`` is set to that ``pos``.  After the loop ``data[upper:end]``
+    is shifted back once; ``upper`` starts at ``end``, so a sort that never
+    shifts writes nothing there.  The shifted words lie below the tag, and
+    the shift keeps every bit prefix the splitter and the successor scan
+    rely on:
+
+    - If ``lo >= 2**(w-1)``, every word left is at least ``lo``, for later
+      buckets lie above the current one.  Subtracting ``2**(w-1)`` only
+      clears bit ``w-1``, so every later :func:`_split_low` bit and
+      successor-scan prefix is unchanged.
+    - If ``lo < 2**(w-1)``, the bucket straddles the tag and was not split.
+      Any split of a straddling bucket is on bit ``w-1``, so such a pass
+      happens only before any split has run: the bucket is the whole rest,
+      and every later split runs in the shifted units.
+
+    An empty bucket's successor is found again from the data: it is the run
+    of words agreeing with its first word ``x`` above ``b``, the top bit
+    where ``x`` and the sorted maximum differ, for the split that parted
+    them was on ``b`` and every value it split agrees above it.  Every later
+    bucket lies above that run, so the scan stops at the first word at or
+    above ``((x >> b) + 1) << b``.  A remainder lies inside its bucket, so
+    splitting it keeps this true.  The pass count stays in a local and the
+    report is built once, at the end; its ``total_sorted`` is how far the
+    sorted prefix advanced, the sum of every pass's ``sorted_count``.
     """
     started = time.perf_counter_ns()
     work = WorkCounter()
@@ -629,42 +648,33 @@ def _sort(
     split = limit > tag
     passes = 0
     pos = offset
-    stop = end = offset + length
+    stop = upper = end = offset + length
     bias = 0
     while pos < end:
         size = stop - pos
         span = hi - lo
         if split and (span >= tag or (size > _SPLIT_FLOOR and span >= wm1 * size * size)):
-            if bias:
-                for idx in range(pos, stop):
-                    data[idx] += bias
-                work.written += size
-                bias = 0
             stop, hi, swaps = _split_low(data, pos, stop, lo, hi)
             work.scanned += size
             work.written += 2 * swaps
             continue
-        if hi >= tag and not bias:
-            bias = lo
-            for idx in range(pos, stop):
+        if hi >= tag:
+            upper, bias = pos, min(lo, tag)
+            for idx in range(pos, end):
                 data[idx] -= bias
-            work.written += size
+            work.written += end - pos
+            lo -= bias
+            hi -= bias
         # The indices are valid here, so skip Region's checking __new__.
-        region = tuple.__new__(Region, (pos, size, lo - bias))
+        region = tuple.__new__(Region, (pos, size, lo))
         tally = run_pass(data, region, spec, work, hook, passes, bias)
         passes += 1
-        done = tally.n_d + tally.n_c
-        if bias:
-            for idx in range(pos, pos + done):
-                data[idx] += bias
-            work.written += done
-        pos += done
+        pos += tally.n_d + tally.n_c
         if pos < stop:
             if tally.delta_prime is None:
                 raise CorruptState(f"{stop - pos} values left but none was deferred")
-            lo = tally.delta_prime + bias
+            lo = tally.delta_prime
             continue
-        bias = 0
         if pos < end:
             b = (data[pos - 1] ^ data[pos]).bit_length() - 1
             bound = ((data[pos] >> b) + 1) << b
@@ -679,6 +689,9 @@ def _sort(
                     hi = v
                 stop += 1
             work.scanned += stop - pos
+    for idx in range(upper, end):
+        data[idx] += bias
+    work.written += end - upper
     return SortReport(
         passes, pos - offset, work.scanned, work.written, time.perf_counter_ns() - started
     )
@@ -723,7 +736,7 @@ def sort(
     unsorted is split again once it is too wide for its length, so
     adversarially spaced values cost linear scan work, not a pass over the
     whole rest each.  Values at or above ``2**(w-1)`` are sorted shifted
-    down by their bucket's minimum; the report covers every bucket and
-    sweep.
+    down, all by one bias, and shifted back once at the end; the report
+    covers every bucket and sweep.
     """
     return _sort(data, spec, 0, len(data), hook, spec.universe)

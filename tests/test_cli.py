@@ -285,8 +285,10 @@ class TestTrace:
         assert lines[retrieve_at + 1] == "  [0] tag=0 low=42 output"
 
     def test_upper_half_delta_in_input_units(self, tmp_path, capsys):
-        # 40000 >= 2**15 is sorted shifted down by its bucket's minimum,
-        # 40000 itself; the header adds that bias back, the low bits do not
+        # 40000 >= 2**15 is sorted shifted down by the sort's one bias, the
+        # smaller of its bucket's minimum and 2**15, so it is held as
+        # 40000 - 2**15 = 7232; the header adds that bias back, the low
+        # bits do not
         src = tmp_path / "in.txt"
         src.write_text("40000\n7\n")
         code = run_cli(["trace", "--input", str(src), "--word-bits", "16"])
@@ -297,7 +299,7 @@ class TestTrace:
         retrieve_at = lines.index(
             "pass 2 retrieve: offset=1 length=1 delta=40000 n_d=1 n_c=0 n_out=0"
         )
-        assert lines[retrieve_at + 1] == "  [1] tag=0 low=0 output"
+        assert lines[retrieve_at + 1] == "  [1] tag=0 low=7232 output"
 
     def test_duplicate_aborts_after_partial_trace(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

@@ -252,24 +252,34 @@ class TestReportTotals:
             multi_pass += report.pass_count > 1
         assert split and multi_pass
 
-    def test_shifted_remainder_handed_back_to_the_splitter(self):
-        # Adversarial spacing above the tag bit: the bucket is shifted down
-        # by its minimum, and after its second pass the rest spans more than
-        # (w-1)*L**2, so it is shifted back and split, and its low side is
-        # shifted again by its own minimum.
+    def test_shifted_remainder_handed_back_to_the_splitter(self, monkeypatch):
+        # Adversarial spacing above the tag bit: the rest is shifted down
+        # once, by 2**15, before the first pass, and after its second pass
+        # it spans more than (w-1)*L**2, so it is split in the shifted units
+        # and never shifted again.
         word = WordSpec(16)
         n = 40
         values = [word.tag_mask + t * 15 * n for t in range(n)]
         expected = sorted(values)
         data = CountingList(values[::-1])
-        events = []
-        report = sort(data, word, hook=events.append)
+        log = []
+        split_low = engine._split_low
+
+        def logging_split(*args):
+            log.append("split")
+            return split_low(*args)
+
+        monkeypatch.setattr(engine, "_split_low", logging_split)
+        report = sort(data, word, hook=log.append)
+        events = [entry for entry in log if entry != "split"]
         assert data == expected
         assert report.words_written == data.writes
         assert report.pass_count == n
         for event in events:
             assert event.region.delta + event.bias == expected[event.region.offset]
-        assert len({event.bias for event in events}) > 2
+        assert {event.bias for event in events} - {0} == {word.tag_mask}
+        first_shifted = next(i for i, entry in enumerate(log) if entry != "split" and entry.bias)
+        assert "split" in log[first_shifted:]
 
     def test_bookkeeping_is_flat_in_the_pass_count(self):
         # 512 passes; a per-pass record would grow with each one.

@@ -162,6 +162,40 @@ def test_tag_clause_splits_a_short_bucket(monkeypatch):
     assert _split_calls(monkeypatch, [word.tag_mask + 5, 1], word) == 1
 
 
+@pytest.mark.parametrize("w", (8, 16, 64))
+def test_narrow_straddling_input_takes_one_pass(w):
+    # Seven values around 2**(w-1) fit one pass.  The sort's one shift is
+    # by their minimum, so they are passed, not split on the tag bit.
+    word = WordSpec(w)
+    values = [word.tag_mask - 3 + t for t in range(7)]
+    random.Random(w).shuffle(values)
+    buf = list(values)
+    events = []
+    report = sort(buf, word, hook=events.append)
+    assert buf == sorted(values)
+    assert report.pass_count == 1
+    assert {event.bias for event in events} == {min(values)}
+    assert all(event.region.delta == 0 for event in events)
+
+
+@pytest.mark.parametrize(
+    ("descending", "written"), ((False, 24_576), (True, 28_668))
+)
+def test_adversarial_above_the_tag_is_shifted_once(descending, written):
+    # Shifted down once and back once: 2*4,096 shift writes.  A shift per
+    # bucket, undone per pass and before each split, writes 8,188 more.
+    word = WordSpec(64)
+    values = [word.tag_mask + v for v in gen_adversarial(4096, word)]
+    if descending:
+        values.reverse()
+    buf = list(values)
+    report = sort(buf, word)
+    assert buf == sorted(values)
+    assert report.pass_count == 4096
+    assert report.words_scanned == 85_596
+    assert report.words_written == written
+
+
 def _aux_peak(n: int) -> int:
     """Traced allocation peak of ``sort`` on a sparse 64-bit list of n values.
 
