@@ -160,9 +160,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _classify(
-    phase: str, rel: int, low: int, tagged: bool, event: PhaseEvent, word: WordSpec
-) -> str:
+def _classify(rel: int, low: int, tagged: bool, event: PhaseEvent, word: WordSpec) -> str:
+    phase = event.phase
     tally = event.tally
     region = event.region
     if phase == "retrieve":
@@ -187,9 +186,9 @@ def _trace_hook(word: WordSpec):
         )
         for rel in range(region.length):
             v = event.data[region.offset + rel]
-            tagged = bool(v & word.tag_mask)
+            tagged = v >= word.tag_mask
             low = v & word.value_mask
-            cls = _classify(event.phase, rel, low, tagged, event, word)
+            cls = _classify(rel, low, tagged, event, word)
             print(f"  [{region.offset + rel}] tag={int(tagged)} low={low} {cls}")
 
     return hook
@@ -215,7 +214,3 @@ def main(argv: list[str] | None = None) -> int:
     except _DATA_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -70,8 +70,17 @@ __all__ = [
 class DuplicateDetected(ValueError):
     """Two equal values mapped to the same node bit; the input is not distinct.
 
-    The region is left in an unspecified (but in-bounds) state.
+    ``value`` is the repeated value.  The region is left in an unspecified
+    (but in-bounds) state.
     """
+
+    def __init__(self, value: int) -> None:
+        # The value alone is the argument, so a pickled copy rebuilds it.
+        super().__init__(value)
+        self.value = value
+
+    def __str__(self) -> str:
+        return f"value {self.value} occurs more than once"
 
 
 class CorruptState(RuntimeError):
@@ -303,9 +312,7 @@ def practice_pass(
         bit = 1 << (off - q * wm1)
         if node >= tag:
             if node & bit:
-                raise DuplicateDetected(
-                    f"value {s} occurs more than once (node {q}, bit {bit.bit_length() - 1})"
-                )
+                raise DuplicateDetected(s)
             data[j] = node | bit
             n_c += 1
             i += 1
@@ -628,7 +635,8 @@ def _sort(
       happens only before any split has run: the bucket is the whole rest,
       and every later split runs in the shifted units.
 
-    An empty bucket's successor is found again from the data: it is the run
+    When a pass empties its bucket, the next turn of the loop finds the
+    successor again from the data, before it tests for a split: it is the run
     of words agreeing with its first word ``x`` above ``b``, the top bit
     where ``x`` and the sorted maximum differ, for the split that parted
     them was on ``b`` and every value it split agrees above it.  Every later
@@ -636,7 +644,9 @@ def _sort(
     above ``((x >> b) + 1) << b``.  A remainder lies inside its bucket, so
     splitting it keeps this true.  The pass count stays in a local and the
     report is built once, at the end; its ``total_sorted`` is how far the
-    sorted prefix advanced, the sum of every pass's ``sorted_count``.
+    sorted prefix advanced, the sum of every pass's ``sorted_count``.  A
+    DuplicateDetected from a shifted pass is raised again with ``bias`` added
+    to its value, so it names the value in input units.
     """
     started = time.perf_counter_ns()
     work = WorkCounter()
@@ -651,6 +661,20 @@ def _sort(
     stop = upper = end = offset + length
     bias = 0
     while pos < end:
+        if pos == stop:
+            b = (data[pos - 1] ^ data[pos]).bit_length() - 1
+            bound = ((data[pos] >> b) + 1) << b
+            lo, hi = limit, -1
+            while stop < end:
+                v = data[stop]
+                if v >= bound:
+                    break
+                if v < lo:
+                    lo = v
+                if v > hi:
+                    hi = v
+                stop += 1
+            work.scanned += stop - pos
         size = stop - pos
         span = hi - lo
         if split and (span >= tag or (size > _SPLIT_FLOOR and span >= wm1 * size * size)):
@@ -667,28 +691,20 @@ def _sort(
             hi -= bias
         # The indices are valid here, so skip Region's checking __new__.
         region = tuple.__new__(Region, (pos, size, lo))
-        tally = run_pass(data, region, spec, work, hook, passes, bias)
+        try:
+            tally = run_pass(data, region, spec, work, hook, passes, bias)
+        except DuplicateDetected as exc:
+            # Name the value in input units.  The words stay shifted: a
+            # tagged node plus bias may not fit in 2**w.
+            if bias:
+                raise DuplicateDetected(exc.value + bias) from None
+            raise
         passes += 1
         pos += tally.n_d + tally.n_c
         if pos < stop:
             if tally.delta_prime is None:
                 raise CorruptState(f"{stop - pos} values left but none was deferred")
             lo = tally.delta_prime
-            continue
-        if pos < end:
-            b = (data[pos - 1] ^ data[pos]).bit_length() - 1
-            bound = ((data[pos] >> b) + 1) << b
-            lo, hi = limit, -1
-            while stop < end:
-                v = data[stop]
-                if v >= bound:
-                    break
-                if v < lo:
-                    lo = v
-                if v > hi:
-                    hi = v
-                stop += 1
-            work.scanned += stop - pos
     for idx in range(upper, end):
         data[idx] += bias
     work.written += end - upper

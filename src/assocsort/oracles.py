@@ -8,12 +8,7 @@ from __future__ import annotations
 
 from .engine import PassTally, WordSpec
 
-__all__ = ["oracle_sort", "verify_pass_tally"]
-
-
-def oracle_sort(values: list[int]) -> list[int]:
-    """Ground-truth ascending order as a new list; the input is not touched."""
-    return sorted(values)
+__all__ = ["verify_pass_tally"]
 
 
 def verify_pass_tally(

@@ -11,6 +11,7 @@ from assocsort import (
     ALGORITHMS,
     BenchRecord,
     DatasetSpec,
+    DuplicateDetected,
     VerificationFailed,
     counting_sort,
     emit_csv,
@@ -28,6 +29,10 @@ class TestCountingSort:
 
     def test_sparse_range(self):
         assert counting_sort([1000, 3, 500]) == [3, 500, 1000]
+
+    def test_duplicate_rejected(self):
+        with pytest.raises(DuplicateDetected, match=r"^value 3 occurs more than once$"):
+            counting_sort([3, 3])
 
 
 def assoc(records):

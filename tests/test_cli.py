@@ -10,6 +10,7 @@ import pytest
 
 from assocsort import cli, load_csv
 from assocsort.cli import main
+from assocsort.verification import SuiteResult
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -175,6 +176,16 @@ class TestVerify:
         assert "tally_oracle: 29/29 ok" in captured.out  # 25 trials, 4 bound regions
         assert "clobber_regression" in captured.out
 
+    def test_failing_suite_exits_1(self, monkeypatch, capsys):
+        failed = SuiteResult("oracle_equivalence", 2, 0)
+        failed.record(False, "trial=2 w=8")
+        failed.record(False, "trial=5 w=16")
+        monkeypatch.setattr(cli, "run_all", lambda trials, seed: [failed])
+        code = run_cli(["verify", "--trials", "3"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert out == ["oracle_equivalence: 2/4 FAIL", "  first failure: trial=2 w=8"]
+
 
 class TestBench:
     def test_csv_written(self, tmp_path, capsys):
@@ -300,6 +311,17 @@ class TestTrace:
             "pass 2 retrieve: offset=1 length=1 delta=40000 n_d=1 n_c=0 n_out=0"
         )
         assert lines[retrieve_at + 1] == "  [1] tag=0 low=7232 output"
+
+    def test_deferred_value_labelled_out_of_range(self, tmp_path, capsys):
+        # At n=2, w=8 the first pass covers [0, 14), so 100 waits for pass 2.
+        src = tmp_path / "in.txt"
+        src.write_text("0\n100\n")
+        code = run_cli(["trace", "--input", str(src), "--word-bits", "8"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        for phase in ("practice", "store", "partition"):
+            at = lines.index(f"pass 1 {phase}: offset=0 length=2 delta=0 n_d=1 n_c=0 n_out=1")
+            assert lines[at + 2] == "  [1] tag=0 low=100 out-of-range"
 
     def test_duplicate_aborts_after_partial_trace(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

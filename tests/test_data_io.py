@@ -101,6 +101,22 @@ class TestBinary:
         with pytest.raises(ParseError, match="truncated record: 3 stray bytes at offset 8"):
             read_list(path, "binary")
 
+    def test_file_shorter_than_its_size(self, monkeypatch, tmp_path):
+        # A regular file that yields fewer bytes than fstat reported, as
+        # when it shrinks between the two calls.
+        path = tmp_path / "shrunk.bin"
+        path.write_bytes(b"\x00" * 16)
+        real_fstat = os.fstat
+
+        def grown(fd):
+            info = list(real_fstat(fd))
+            info[6] += 8  # st_size
+            return os.stat_result(info)
+
+        monkeypatch.setattr(os, "fstat", grown)
+        with pytest.raises(ParseError, match="file ended after 16 of 24 bytes"):
+            read_list(path, "binary")
+
     def test_path_naming_a_pipe_is_read_whole(self, tmp_path):
         # A FIFO reports size 0, so it must not take the sized-file route.
         fifo = tmp_path / "pipe"

@@ -16,7 +16,6 @@ from assocsort import (
     gen_uniform,
     generate,
     generators,
-    oracle_sort,
     predict_worst_pass_bound,
     sort,
     verify_pass_tally,
@@ -130,6 +129,10 @@ class TestBestCase:
 
 
 class TestFullUniverse:
+    def test_infeasible_beyond_the_universe(self):
+        with pytest.raises(InfeasibleRange, match=r"cannot draw 17 distinct values from \[0, 16\)"):
+            gen_full_universe(DatasetSpec("full_universe", 17, 4))
+
     def test_membership_and_boundary_crossing(self):
         ds = DatasetSpec("full_universe", 16, 4, seed=0)
         values = gen_full_universe(ds)
@@ -150,7 +153,7 @@ class TestGenerateDispatch:
         values = generate(ds)
         data = list(values)
         sort(data, W16)
-        assert data == oracle_sort(values)
+        assert data == sorted(values)
 
     # full_universe samples a materialized range up to w=22, by rejection above.
     @pytest.mark.parametrize("beta", [1, 8], ids=lambda b: f"beta{b}")

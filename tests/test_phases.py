@@ -77,6 +77,13 @@ class TestPractice:
         with pytest.raises(DuplicateDetected):
             practice_pass([5, 5], Region(0, 2, 5), W8)
 
+    def test_value_below_delta_rejected_before_its_word_is_written(self):
+        # 9 claims node 0; 3 lies below delta=5 and stops the pass at index 1.
+        data = [9, 3]
+        with pytest.raises(ValueError, match="value 3 at index 1 is below the pass minimum 5"):
+            practice_pass(data, Region(0, 2, 5), W8)
+        assert data[1] == 3
+
     def test_value_below_delta_rejected_under_optimize(self):
         # The guard must survive ``python -O``; unguarded, 3 hashes to node
         # -1 and the pass writes through data[-1].
