@@ -21,8 +21,14 @@ from assocsort import WordSpec, sort
 # value range in place until each bucket is narrow enough for the passes.
 # Because of the tag bit, the first bucket holding values at or above 2**15
 # shifts the unsorted rest down once, and the sort shifts it back at the end.
+# A bucket of at most 8 words too spread out for one pass is insertion-sorted
+# instead: it runs no pass, so the hook below does not see it.  Here that is
+# 40200 and 40260, which the pass over the 40xxx run defers.
 word = WordSpec(16)
-data = [40_000, 7, 5_000, 62_001, 0, 33_000, 12, 9_999]
+data = [
+    62_001, 61, 40_066, 40_000, 33_000, 9_999, 40_017, 40_042, 0, 40_200, 3,
+    40_260, 90, 40_008, 101, 40_100, 40_130, 12, 130, 7, 5_000, 25,
+]
 
 
 
@@ -52,10 +58,13 @@ print(f"words written: {report.words_written}")
 print(f"elapsed:       {report.elapsed_ns} ns")
 
 # The sort is on-line: after each pass, a fully sorted prefix is in place.
-# Sorting is strict about its contract -- duplicates abort loudly.
+# Sorting is strict about its contract -- duplicates abort loudly, and the
+# list keeps its values, in some order.
 from assocsort import DuplicateDetected
 
+data = [40_000, 7, 3, 40_000, 12, 9]
 try:
-    sort([3, 3], word)
+    sort(data, word)
 except DuplicateDetected as exc:
     print(f"\nduplicates are rejected: {exc}")
+    print("the list keeps its values:", data)

@@ -2,10 +2,12 @@
 """Pass counts and scan work across the three canonical input shapes.
 
 Best-case inputs (range under (w-1)*n) sort in one pass.  Adversarial
-spacing forces one pass per value.  ``sort_region`` runs every pass over the
-whole unsorted rest, about n**2/2 words, which stays within the paper's
-2*(n + m/(w-1)); ``sort`` hands the rest back to its range splitter once it
-is too wide for its length and scans linear work.  Uniform inputs with
+spacing forces one pass per value on ``sort_region``, the paper's loop,
+which runs every pass over the whole unsorted rest, about n**2/2 words,
+within the paper's 2*(n + m/(w-1)).  ``sort`` hands the rest back to its
+range splitter once it is too wide for its length, and insertion-sorts
+each bucket of at most 8 words that one pass cannot sort, so it takes a
+pass or two and scans linear work.  Uniform inputs with
 range multiplier beta shed a 1/beta fraction per pass, so total scan work
 stays within 2*beta*n.
 """
@@ -36,7 +38,7 @@ for n in (16, 256, 4096):
     report = sort(data, word)
     print(f"  n={n:<5} passes={report.pass_count}")
 
-print("\n== adversarial: one pass per value; sort_region's scan work vs sort's ==")
+print("\n== adversarial: sort_region's pass per value and scan work vs sort's ==")
 for n in (8, 64, 256):
     data = gen_adversarial(n, word)
     m = max(data) + 1

@@ -90,7 +90,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(run=_cmd_bench)
 
     p_trace = sub.add_parser(
-        "trace", parents=[source], help="print word-level state after each phase"
+        "trace",
+        parents=[source],
+        help="print word-level state after each phase of each pass",
+        description=(
+            "Print every word after each phase of each pass. A bucket of at most "
+            "8 words that one pass cannot sort is insertion-sorted without a pass, "
+            "so it prints no lines."
+        ),
     )
     p_trace.set_defaults(run=_cmd_trace)
 

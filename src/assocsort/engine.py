@@ -23,8 +23,9 @@ Both entry points share one loop, which first validates the input in a
 single sweep that writes nothing.  The tag occupies bit ``w-1``, so
 :func:`sort_region` accepts values below ``2**(w-1)`` and runs the passes on
 the whole window.  :func:`sort` accepts ``[0, 2**w)`` and splits the value
-range in place, MSD-radix style: each step splits the current bucket or
-runs one pass on it, and what a pass defers stays the current bucket, so a
+range in place, MSD-radix style: each step splits the current bucket, runs
+one pass on it, or insertion-sorts a bucket of at most 8 words that one
+pass cannot sort, and what a pass defers stays the current bucket, so a
 bucket the passes shrink too slowly goes back to the splitter.  The first
 bucket that reaches the tag bit shifts the unsorted rest down once, and
 the loop shifts it back once at the end.  The loop keeps no stack of
@@ -39,8 +40,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 HOST_BITS = 64
-# Passes on a sparse bucket of L <= 8 words scan at most L*(L+1)/2 = 36
-# words, less than the partition sweeps and successor scans of splitting it.
+# A bucket of L <= 8 words that one pass cannot sort is insertion-sorted in
+# at most L*(L-1)/2 = 28 comparisons, less than the partition sweeps and
+# successor scans of splitting it or the pass per value its passes may take.
 _SPLIT_FLOOR = 8
 
 __all__ = [
@@ -70,8 +72,11 @@ __all__ = [
 class DuplicateDetected(ValueError):
     """Two equal values mapped to the same node bit; the input is not distinct.
 
-    ``value`` is the repeated value.  The region is left in an unspecified
-    (but in-bounds) state.
+    ``value`` is the repeated value.  The sequence is left a permutation of
+    its input: :func:`practice_pass` decodes its nodes before raising, the
+    insertion sort that finishes a short bucket writes its held value back,
+    and ``sort`` undoes its one shift.  A hook that raises is not covered;
+    it may leave a pass half done.
     """
 
     def __init__(self, value: int) -> None:
@@ -175,14 +180,16 @@ class PassTally(NamedTuple):
 class SortReport:
     """Running totals for one sort call.
 
-    ``pass_count`` passes ran and appended ``total_sorted`` words to the
-    sorted prefix.  ``words_scanned`` counts words examined to classify or
-    route values: the validation sweep, the splitter's partition sweeps and
-    bucket scans, and every cursor step of each pass's practice sweep.
-    ``words_written`` counts every word mutation, the splitter's swaps and
-    shifts included.  The sort loop keeps these totals in locals and in the
-    one WorkCounter it adds every sweep, phase and shift to, and builds the
-    report once, at the end.  Per-pass tallies reach callers only through
+    ``pass_count`` passes ran; with the buckets ``sort`` insertion-sorts
+    they appended ``total_sorted`` words to the sorted prefix.
+    ``words_scanned`` counts words examined to classify or route values:
+    the validation sweep, the splitter's partition sweeps and bucket scans,
+    every cursor step of each pass's practice sweep and every comparison of
+    the insertion sort.  ``words_written`` counts every word mutation, the
+    splitter's swaps and shifts and the insertion sort's moves included.
+    The sort loop keeps these totals in locals and in the one WorkCounter
+    it adds every sweep, phase and shift to, and builds the report once, at
+    the end.  Per-pass tallies reach callers only through
     the hook, so the report stays O(1).
     """
 
@@ -199,8 +206,10 @@ class PhaseEvent:
 
     ``phase`` is one of ``practice``, ``store``, ``partition`` or
     ``retrieve``; every pass, a one-word pass included, emits all four in
-    that order, each with the pass's tally.  Events are built only for a
-    sort that was given a hook.
+    that order, each with the pass's tally.  A bucket that ``sort``
+    insertion-sorts runs no pass and emits no event, and the pass indices
+    skip nothing for it.  Events are built only for a sort that was given a
+    hook.
     ``data`` is the live backing sequence; hooks must treat it as read-only.
     ``bias`` is the one shift of a ``sort`` call: from the first pass whose
     bucket reaches ``2**(w-1)`` on, passes run on values less the smaller
@@ -273,9 +282,13 @@ def practice_pass(
     least ``delta + (w-1)*n``, a bound formed once per call.
 
     Raises DuplicateDetected when a node bit is already set for an incoming
-    value.  The region is then in an unspecified in-bounds state.  Raises
-    ValueError, before writing the offending word, when an untagged value
-    lies below ``region.delta``.
+    value.  Before raising it undoes the pass, so the region again holds the
+    values it held on entry, in some order: every idle before the cursor
+    clears its bit from its node, which leaves each node with its creator's
+    bit alone, and every node is decoded back to that value.  Only this
+    branch does the undo; the sweep itself keeps no extra state.  Raises
+    ValueError, before writing the offending word and after the same undo,
+    when an untagged value lies below ``region.delta``.
     """
     wm1 = spec.w - 1
     tag = spec.tag_mask
@@ -304,6 +317,7 @@ def practice_pass(
             i += 1
             continue
         if s < delta:
+            _undo_practice(data, base, end, i, delta, spec)
             raise ValueError(f"value {s} at index {i} is below the pass minimum {delta}")
         off = s - delta
         q = off // wm1
@@ -312,6 +326,7 @@ def practice_pass(
         bit = 1 << (off - q * wm1)
         if node >= tag:
             if node & bit:
+                _undo_practice(data, base, end, i, delta, spec)
                 raise DuplicateDetected(s)
             data[j] = node | bit
             n_c += 1
@@ -334,6 +349,31 @@ def practice_pass(
         work.written += n_c + 2 * n_d
     # tuple.__new__ skips the named tuple's Python-level __new__.
     return tuple.__new__(PassTally, (n_d, n_c, n_out, delta_next if n_out else None))
+
+
+def _undo_practice(
+    data: MutableSequence[int], base: int, end: int, cursor: int, delta: int, spec: WordSpec
+) -> None:
+    """Turn a practice sweep stopped at ``cursor`` back into plain values.
+
+    Every untagged in-range word before the cursor was absorbed into its
+    node, which stays tagged, and each bit was set by one value only, so
+    toggling those bits leaves each node with its creator's bit.  The words
+    from the cursor on have not been practiced.  Decoding then writes each
+    creator back.
+    """
+    wm1 = spec.w - 1
+    tag = spec.tag_mask
+    top = delta + wm1 * (end - base)
+    for i in range(base, cursor):
+        s = data[i]
+        if s < tag and delta <= s < top:
+            q = (s - delta) // wm1
+            data[base + q] ^= 1 << (s - delta - q * wm1)
+    for p in range(base, end):
+        node = data[p]
+        if node >= tag:
+            data[p] = (p - base) * wm1 + delta + ((node ^ tag).bit_length() - 1)
 
 
 def store_records(
@@ -593,6 +633,43 @@ def _split_low(
     return i, low_max, swaps
 
 
+def _insertion_sort(
+    data: MutableSequence[int], start: int, stop: int, work: WorkCounter
+) -> None:
+    """Insertion-sort ``data[start:stop]`` in place on the raw words.
+
+    Each comparison adds one scanned word and each element write one written
+    word.  Raises DuplicateDetected on equal neighbours after writing the
+    held value back into its hole, so the slice stays a permutation.
+    """
+    scanned = written = 0
+    for i in range(start + 1, stop):
+        v = data[i]
+        j = i
+        while j > start:
+            u = data[j - 1]
+            scanned += 1
+            if u < v:
+                break
+            if u == v:
+                data[j] = v
+                raise DuplicateDetected(v)
+            data[j] = u
+            written += 1
+            j -= 1
+        if j < i:
+            data[j] = v
+            written += 1
+    work.scanned += scanned
+    work.written += written
+
+
+def _unshift(data: MutableSequence[int], upper: int, end: int, bias: int) -> None:
+    """Add the sort's one shift back to ``data[upper:end]``."""
+    for idx in range(upper, end):
+        data[idx] += bias
+
+
 def _sort(
     data: MutableSequence[int],
     spec: WordSpec,
@@ -604,18 +681,20 @@ def _sort(
     """Validate ``data[offset:offset+length]`` against ``limit``, then sort it.
 
     One loop owns the current bucket ``data[pos:stop]`` and its bounds
-    ``lo`` and ``hi``; each step splits the bucket or runs one pass on it.
-    ``sort_region`` never splits.  ``sort`` splits a bucket of length L
-    spanning at least ``2**(w-1)``, or spanning at least ``(w-1)*L**2``
-    when L exceeds 8, with :func:`_split_low` and goes on with its low
-    side, since below that span the passes cost no more than one pass per
-    value.  A bucket of at most 8 words is passed however sparse it is,
-    because its passes scan at most 36 words, less than splitting it costs;
-    the tag clause holds at any length, since after the shift a pass needs
-    every word below the tag.  A pass moves its sorted words out of the
-    bucket and leaves the deferred rest as the current bucket, ``lo`` its
-    deferred minimum, so the same rule decides whether to pass again or
-    split.
+    ``lo`` and ``hi``; each step splits the bucket, runs one pass on it or
+    finishes it.  ``sort_region`` never splits or finishes.  ``sort``
+    finishes a bucket of length L <= 8 spanning at least ``(w-1)*L``, which
+    no single pass can sort: :func:`_insertion_sort` sorts it in place on
+    the raw words, needing no shift, and the bucket is empty.  It runs no
+    pass and calls no hook.  Otherwise ``sort`` splits a bucket spanning at
+    least ``2**(w-1)``, or spanning at least ``(w-1)*L**2`` when L exceeds
+    8, with :func:`_split_low` and goes on with its low side, since below
+    that span the passes cost no more than one pass per value; the tag
+    clause holds at any length, since after the shift a pass needs every
+    word below the tag.  A pass moves its sorted words out of the bucket
+    and leaves the deferred rest as the current bucket, ``lo`` its deferred
+    minimum, so the same rule decides whether to pass again, split or
+    finish.
 
     One shift serves the whole sort.  At the first pass whose bucket has
     ``hi >= 2**(w-1)``, every word of ``data[pos:end]``, and ``lo`` and
@@ -635,18 +714,22 @@ def _sort(
       happens only before any split has run: the bucket is the whole rest,
       and every later split runs in the shifted units.
 
-    When a pass empties its bucket, the next turn of the loop finds the
-    successor again from the data, before it tests for a split: it is the run
-    of words agreeing with its first word ``x`` above ``b``, the top bit
+    When a pass or the finisher empties its bucket, the next turn of the
+    loop finds the successor again from the data, before it tests for a
+    split: it is the run of words agreeing with its first word ``x`` above
+    ``b``, the top bit
     where ``x`` and the sorted maximum differ, for the split that parted
     them was on ``b`` and every value it split agrees above it.  Every later
     bucket lies above that run, so the scan stops at the first word at or
     above ``((x >> b) + 1) << b``.  A remainder lies inside its bucket, so
     splitting it keeps this true.  The pass count stays in a local and the
     report is built once, at the end; its ``total_sorted`` is how far the
-    sorted prefix advanced, the sum of every pass's ``sorted_count``.  A
-    DuplicateDetected from a shifted pass is raised again with ``bias`` added
-    to its value, so it names the value in input units.
+    sorted prefix advanced, every pass's ``sorted_count`` plus every
+    finished bucket.  On DuplicateDetected ``data[upper:end]`` is shifted
+    back and the error raised again with ``bias`` added to its value, so
+    it names the value in input units and the window holds its input's
+    values.  A hook that raises is not covered and may leave a pass half
+    done.
     """
     started = time.perf_counter_ns()
     work = WorkCounter()
@@ -660,53 +743,56 @@ def _sort(
     pos = offset
     stop = upper = end = offset + length
     bias = 0
-    while pos < end:
-        if pos == stop:
-            b = (data[pos - 1] ^ data[pos]).bit_length() - 1
-            bound = ((data[pos] >> b) + 1) << b
-            lo, hi = limit, -1
-            while stop < end:
-                v = data[stop]
-                if v >= bound:
-                    break
-                if v < lo:
-                    lo = v
-                if v > hi:
-                    hi = v
-                stop += 1
-            work.scanned += stop - pos
-        size = stop - pos
-        span = hi - lo
-        if split and (span >= tag or (size > _SPLIT_FLOOR and span >= wm1 * size * size)):
-            stop, hi, swaps = _split_low(data, pos, stop, lo, hi)
-            work.scanned += size
-            work.written += 2 * swaps
-            continue
-        if hi >= tag:
-            upper, bias = pos, min(lo, tag)
-            for idx in range(pos, end):
-                data[idx] -= bias
-            work.written += end - pos
-            lo -= bias
-            hi -= bias
-        # The indices are valid here, so skip Region's checking __new__.
-        region = tuple.__new__(Region, (pos, size, lo))
-        try:
+    try:
+        while pos < end:
+            if pos == stop:
+                b = (data[pos - 1] ^ data[pos]).bit_length() - 1
+                bound = ((data[pos] >> b) + 1) << b
+                lo, hi = limit, -1
+                while stop < end:
+                    v = data[stop]
+                    if v >= bound:
+                        break
+                    if v < lo:
+                        lo = v
+                    if v > hi:
+                        hi = v
+                    stop += 1
+                work.scanned += stop - pos
+            size = stop - pos
+            span = hi - lo
+            if split and size <= _SPLIT_FLOOR and span >= wm1 * size:
+                _insertion_sort(data, pos, stop, work)
+                pos = stop
+                continue
+            if split and (span >= tag or (size > _SPLIT_FLOOR and span >= wm1 * size * size)):
+                stop, hi, swaps = _split_low(data, pos, stop, lo, hi)
+                work.scanned += size
+                work.written += 2 * swaps
+                continue
+            if hi >= tag:
+                upper, bias = pos, min(lo, tag)
+                for idx in range(pos, end):
+                    data[idx] -= bias
+                work.written += end - pos
+                lo -= bias
+                hi -= bias
+            # The indices are valid here, so skip Region's checking __new__.
+            region = tuple.__new__(Region, (pos, size, lo))
             tally = run_pass(data, region, spec, work, hook, passes, bias)
-        except DuplicateDetected as exc:
-            # Name the value in input units.  The words stay shifted: a
-            # tagged node plus bias may not fit in 2**w.
-            if bias:
-                raise DuplicateDetected(exc.value + bias) from None
-            raise
-        passes += 1
-        pos += tally.n_d + tally.n_c
-        if pos < stop:
-            if tally.delta_prime is None:
-                raise CorruptState(f"{stop - pos} values left but none was deferred")
-            lo = tally.delta_prime
-    for idx in range(upper, end):
-        data[idx] += bias
+            passes += 1
+            pos += tally.n_d + tally.n_c
+            if pos < stop:
+                if tally.delta_prime is None:
+                    raise CorruptState(f"{stop - pos} values left but none was deferred")
+                lo = tally.delta_prime
+    except DuplicateDetected as exc:
+        # Practice decodes its nodes and the finisher refills its hole
+        # before raising, so every shifted word is below the tag again and
+        # adding bias back fits in 2**w.
+        _unshift(data, upper, end, bias)
+        raise DuplicateDetected(exc.value + bias) from None
+    _unshift(data, upper, end, bias)
     work.written += end - upper
     return SortReport(
         passes, pos - offset, work.scanned, work.written, time.perf_counter_ns() - started
@@ -728,7 +814,8 @@ def sort_region(
     before any write.  Values must be pairwise distinct ints below the tag
     bit (``< 2**(w-1)``).  Runs as many passes as the value spread
     requires; each pass appends its interval to the sorted prefix, so after
-    pass t the first ``sum(sorted_count)`` words are final.
+    pass t the first ``sum(sorted_count)`` words are final.  After
+    DuplicateDetected the window holds its input's values, unsorted.
     """
     if length is None:
         length = len(data) - offset
@@ -751,8 +838,10 @@ def sort(
     into buckets narrow enough for the passes, and what a pass leaves
     unsorted is split again once it is too wide for its length, so
     adversarially spaced values cost linear scan work, not a pass over the
-    whole rest each.  Values at or above ``2**(w-1)`` are sorted shifted
-    down, all by one bias, and shifted back once at the end; the report
-    covers every bucket and sweep.
+    whole rest each.  A bucket of at most 8 words that one pass cannot sort
+    is insertion-sorted, with no pass and no hook event.  Values at or above
+    ``2**(w-1)`` are sorted shifted down, all by one bias, and shifted back
+    once at the end; the report covers every bucket and sweep.  After
+    DuplicateDetected the sequence holds its input's values, unsorted.
     """
     return _sort(data, spec, 0, len(data), hook, spec.universe)

@@ -1,4 +1,5 @@
-"""Self-check suites: differential trials, pass-count laws, tally oracle, clobber.
+"""Self-check suites: differential trials, pass-count laws, tally oracle, clobber,
+duplicate restoration.
 
 These back the ``verify`` CLI subcommand.  Each suite returns a SuiteResult
 with pass/fail counts and a reproduction hint for the first failure.
@@ -7,9 +8,18 @@ with pass/fail counts and a reproduction hint for the first failure.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 
-from .engine import Region, WordSpec, practice_pass, run_pass, sort, sort_region
+from .engine import (
+    DuplicateDetected,
+    Region,
+    WordSpec,
+    practice_pass,
+    run_pass,
+    sort,
+    sort_region,
+)
 from .generators import DatasetSpec, generate, max_adversarial_n
 from .oracles import verify_pass_tally
 
@@ -21,6 +31,7 @@ __all__ = [
     "check_pass_counts",
     "check_tally_oracle",
     "check_clobber",
+    "check_duplicates",
     "run_all",
 ]
 
@@ -61,8 +72,9 @@ def sample_case(trial_seed: int) -> tuple[WordSpec, DatasetSpec]:
     """Deterministic mixed-family trial: width, family and size drawn per seed.
 
     Sizes are log-uniform up to family-specific feasibility caps (small
-    widths only fit a handful of distinct values; adversarial and
-    full-universe inputs cost a pass per value, so their sizes stay modest).
+    widths only fit a handful of distinct values; adversarial input costs
+    ``sort_region`` a pass per value, so its size stays modest, and
+    full-universe sizes are capped at 256).
     """
     rng = random.Random(trial_seed * 0x9E3779B1 + 7)
     w = rng.choice(VERIFY_WIDTHS)
@@ -125,9 +137,10 @@ def check_oracle_equivalence(trials: int, seed: int) -> SuiteResult:
 def check_pass_counts(seed: int) -> SuiteResult:
     """Best-case inputs take one pass; adversarial inputs take one per value.
 
-    ``sort`` must also scan an adversarial input in at most ``(2*w + 4)*n``
-    words, as the range splitter does on sparse input; running every pass
-    over the whole unsorted rest scans about ``n**2/2``.
+    The second law is the paper's and holds on ``sort_region``.  ``sort``
+    splits and finishes such input instead, and must scan it in at most
+    ``(2*w + 4)*n`` words; running every pass over the whole unsorted rest
+    scans about ``n**2/2``.
     """
     result = SuiteResult("pass_counts", 0, 0)
     rng = random.Random(seed)
@@ -142,10 +155,11 @@ def check_pass_counts(seed: int) -> SuiteResult:
             result.record(report.pass_count == 1, note)
     for w, n in [(8, 4), (16, 16), (16, 32), (64, 64), (64, 128), (64, 1024)]:
         word = WordSpec(w)
-        data = list(generate(DatasetSpec("adversarial", n, w)))
-        report = sort(data, word)
+        values = generate(DatasetSpec("adversarial", n, w))
+        report = sort_region(list(values), word)
         note = f"adversarial n={n} w={w} passes={report.pass_count}"
         result.record(report.pass_count == n, note)
+        report = sort(list(values), word)
         note = f"adversarial n={n} w={w} scanned={report.words_scanned}"
         result.record(report.words_scanned <= (2 * w + 4) * n, note)
     return result
@@ -220,6 +234,38 @@ def check_clobber() -> SuiteResult:
     return result
 
 
+def check_duplicates(trials: int, seed: int) -> SuiteResult:
+    """A duplicate is named, and the sequence keeps the input's values.
+
+    Each mixed trial repeats one of its values at a random index, then sorts
+    it with ``sort`` and, when every value is below the tag, with
+    ``sort_region``, on a ``list`` and on an ``array("Q")``.  Each run must
+    raise DuplicateDetected naming that value and leave a permutation of
+    its input behind.
+    """
+    result = SuiteResult("duplicates", 0, 0)
+    rng = random.Random(seed)
+    for t in range(trials):
+        word, ds = sample_case(seed * 5_462_407 + t)
+        values = generate(ds)
+        if not values:
+            continue
+        copy = rng.choice(values)
+        values.insert(rng.randint(0, len(values)), copy)
+        sorters = (sort,) if max(values) >= word.tag_mask else (sort, sort_region)
+        for sorter in sorters:
+            for buf in (list(values), array("Q", values)):
+                try:
+                    sorter(buf, word)
+                    named = None
+                except DuplicateDetected as exc:
+                    named = exc.value
+                ok = named == copy and sorted(buf) == sorted(values)
+                note = f"trial={t} w={word.w} {sorter.__name__} {type(buf).__name__} {ds}"
+                result.record(ok, note)
+    return result
+
+
 def run_all(trials: int, seed: int) -> list[SuiteResult]:
     """Every suite, scaled by the trial budget; empty when trials == 0.
 
@@ -234,4 +280,5 @@ def run_all(trials: int, seed: int) -> list[SuiteResult]:
         check_pass_counts(seed),
         check_tally_oracle(max(1, min(trials, 200)), seed),
         check_clobber(),
+        check_duplicates(max(1, min(trials, 200)), seed),
     ]

@@ -13,10 +13,13 @@ from assocsort import (
     DatasetSpec,
     DuplicateDetected,
     VerificationFailed,
+    WordSpec,
     counting_sort,
     emit_csv,
+    generate,
     load_csv,
     run_suite,
+    sort_region,
 )
 
 EXPECTED_HEADER = "algorithm,family,n,m,w,passes,words_scanned,nanos,seed"
@@ -53,9 +56,13 @@ class TestRunSuite:
         assert records and all(r.passes == 1 for r in records)
 
     def test_adversarial_pass_per_value(self):
-        suite = [DatasetSpec("adversarial", 64, 32, seed=0)]
-        records = assoc(run_suite(suite))
-        assert records[0].passes == 64
+        # One pass per value is the paper's law, on sort_region.  The bench
+        # runs sort(), which splits the spread and insertion-sorts each
+        # bucket of at most 8 words that one pass cannot sort: 2 passes.
+        spec = DatasetSpec("adversarial", 64, 32, seed=0)
+        assert sort_region(generate(spec), WordSpec(32)).pass_count == 64
+        records = assoc(run_suite([spec]))
+        assert (records[0].passes, records[0].words_scanned) == (2, 536)
 
     def test_baselines_report_no_passes(self):
         suite = [DatasetSpec("uniform", 16, 16, beta=1, seed=3)]

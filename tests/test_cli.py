@@ -175,6 +175,8 @@ class TestVerify:
         assert "oracle_equivalence: 25/25 ok" in captured.out
         assert "tally_oracle: 29/29 ok" in captured.out  # 25 trials, 4 bound regions
         assert "clobber_regression" in captured.out
+        # every sort and, below the tag, sort_region run, on a list and an array
+        assert "duplicates: 92/92 ok" in captured.out
 
     def test_failing_suite_exits_1(self, monkeypatch, capsys):
         failed = SuiteResult("oracle_equivalence", 2, 0)
@@ -208,7 +210,9 @@ class TestBench:
         assoc_best = [r for r in records if r.algorithm == "assoc" and r.family == "best_case"]
         assert all(r.passes == 1 for r in assoc_best)
         assoc_adv = [r for r in records if r.algorithm == "assoc" and r.family == "adversarial"]
-        assert {r.passes for r in assoc_adv} == {16, 32}
+        # sort() splits the spread and finishes its short buckets: two
+        # passes at either size, where sort_region would run one per value
+        assert sorted(r.passes for r in assoc_adv) == [2, 2, 2, 2]
 
     def test_uniform_beta_grid(self, tmp_path):
         csv_path = tmp_path / "bench.csv"
@@ -296,32 +300,46 @@ class TestTrace:
         assert lines[retrieve_at + 1] == "  [0] tag=0 low=42 output"
 
     def test_upper_half_delta_in_input_units(self, tmp_path, capsys):
-        # 40000 >= 2**15 is sorted shifted down by the sort's one bias, the
-        # smaller of its bucket's minimum and 2**15, so it is held as
+        # Nine words are split on the tag bit, not finished.  40000 >= 2**15
+        # is then sorted shifted down by the sort's one bias, the smaller of
+        # its bucket's minimum and 2**15, so it is held as
         # 40000 - 2**15 = 7232; the header adds that bias back, the low
         # bits do not
         src = tmp_path / "in.txt"
-        src.write_text("40000\n7\n")
+        src.write_text("40000\n" + "".join(f"{v}\n" for v in range(7, 15)))
         code = run_cli(["trace", "--input", str(src), "--word-bits", "16"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert "pass 1 practice: offset=0 length=1 delta=7 n_d=1 n_c=0 n_out=0" in lines
-        assert "pass 2 practice: offset=1 length=1 delta=40000 n_d=1 n_c=0 n_out=0" in lines
+        assert "pass 1 practice: offset=0 length=8 delta=7 n_d=1 n_c=7 n_out=0" in lines
+        assert "pass 2 practice: offset=8 length=1 delta=40000 n_d=1 n_c=0 n_out=0" in lines
         retrieve_at = lines.index(
-            "pass 2 retrieve: offset=1 length=1 delta=40000 n_d=1 n_c=0 n_out=0"
+            "pass 2 retrieve: offset=8 length=1 delta=40000 n_d=1 n_c=0 n_out=0"
         )
-        assert lines[retrieve_at + 1] == "  [1] tag=0 low=7232 output"
+        assert lines[retrieve_at + 1] == "  [8] tag=0 low=7232 output"
+
+    def test_finished_bucket_prints_no_pass(self, tmp_path, capsys):
+        # Two words too far apart for one pass are insertion-sorted, so the
+        # hook sees no phase and the trace prints no pass line.
+        src = tmp_path / "in.txt"
+        src.write_text("40000\n7\n")
+        code = run_cli(["trace", "--input", str(src), "--word-bits", "16"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == ""
+        assert "sorted 2 values" in captured.err
 
     def test_deferred_value_labelled_out_of_range(self, tmp_path, capsys):
-        # At n=2, w=8 the first pass covers [0, 14), so 100 waits for pass 2.
+        # At n=9, w=8 the first pass covers [0, 63), so 100 waits for pass
+        # 2; nine words are more than the finisher takes.
         src = tmp_path / "in.txt"
-        src.write_text("0\n100\n")
+        src.write_text("".join(f"{v}\n" for v in range(8)) + "100\n")
         code = run_cli(["trace", "--input", str(src), "--word-bits", "8"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        for phase in ("practice", "store", "partition"):
-            at = lines.index(f"pass 1 {phase}: offset=0 length=2 delta=0 n_d=1 n_c=0 n_out=1")
-            assert lines[at + 2] == "  [1] tag=0 low=100 out-of-range"
+        for phase in ("practice", "store", "partition", "retrieve"):
+            at = lines.index(f"pass 1 {phase}: offset=0 length=9 delta=0 n_d=2 n_c=6 n_out=1")
+            assert lines[at + 9] == "  [8] tag=0 low=100 out-of-range"
+        assert "pass 2 practice: offset=8 length=1 delta=100 n_d=1 n_c=0 n_out=0" in lines
 
     def test_duplicate_aborts_after_partial_trace(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

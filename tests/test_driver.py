@@ -8,7 +8,7 @@ import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from assocsort import (
@@ -202,14 +202,18 @@ class TestSortUniverse:
         assert data == [77] and report.pass_count == 1
 
     def test_hook_does_not_change_result(self):
-        values = [9, 2, 0, 11, 200, 130]
+        # Nine words split on the tag bit: the low seven take one pass, and
+        # the pair 130, 200 is too far apart for one, so it is insertion-
+        # sorted and the hook sees no second pass.
+        values = [9, 2, 0, 11, 200, 130, 5, 7, 3]
         quiet = list(values)
         hooked = list(values)
         events = []
         sort(quiet, W8)
         sort(hooked, W8, hook=events.append)
-        assert quiet == hooked
-        assert {e.phase for e in events} >= {"practice", "store", "partition", "retrieve"}
+        assert quiet == hooked == sorted(values)
+        assert [e.phase for e in events] == ["practice", "store", "partition", "retrieve"]
+        assert {(e.pass_index, e.region) for e in events} == {(0, (0, 7, 0))}
 
 
 def test_no_hook_builds_no_event(monkeypatch):
@@ -252,17 +256,19 @@ class TestReportTotals:
     def test_words_written_counts_every_element_write(self):
         # The phases add closed forms of their tallies, not per-word counts;
         # a list that counts its own writes checks those forms end to end.
-        split = multi_pass = 0
+        # Words no pass sorted were insertion-sorted, which counts its own.
+        split = multi_pass = finished = 0
         for trial in range(2000):
             word, ds = sample_case(trial)
             values = generate(ds)
             data = CountingList(values)
-            report = sort(data, word)
+            report, tallies = pass_tallies(sort, data, word)
             assert data == sorted(values)
             assert report.words_written == data.writes, (trial, ds)
             split += any(v >= word.tag_mask for v in values)
             multi_pass += report.pass_count > 1
-        assert split and multi_pass
+            finished += report.total_sorted - sum(t.sorted_count for t in tallies)
+        assert split and multi_pass and finished
 
     def test_shifted_remainder_handed_back_to_the_splitter(self, monkeypatch):
         # Adversarial spacing above the tag bit: the rest is shifted down
@@ -286,7 +292,8 @@ class TestReportTotals:
         events = [entry for entry in log if entry != "split"]
         assert data == expected
         assert report.words_written == data.writes
-        assert report.pass_count == n
+        # Two passes; the split's buckets of at most 8 words are finished.
+        assert report.pass_count == 2
         for event in events:
             assert event.region.delta + event.bias == expected[event.region.offset]
         assert {event.bias for event in events} - {0} == {word.tag_mask}
@@ -294,7 +301,8 @@ class TestReportTotals:
         assert "split" in log[first_shifted:]
 
     def test_bookkeeping_is_flat_in_the_pass_count(self):
-        # 512 passes; a per-pass record would grow with each one.
+        # 512 passes, one per value on sort_region; a per-pass record would
+        # grow with each one.
         word = WordSpec(64)
         values = gen_adversarial(512, word)
         tracemalloc.start(1)
@@ -302,7 +310,7 @@ class TestReportTotals:
             data = [v + 0 for v in values]  # re-allocate under tracing
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            report = sort(data, word)
+            report = sort_region(data, word)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -409,3 +417,51 @@ def test_matches_oracle_w4_exhaustive_universe(values):
     data = list(values)
     sort(data, WordSpec(4))
     assert data == sorted(values)
+
+
+@st.composite
+def inputs_with_a_duplicate(draw) -> tuple[WordSpec, list[int], int]:
+    """A width, a shuffled list holding one value twice, and that value.
+
+    Three shapes steer the duplicate to each place that can find it:
+    ``finished`` is at most 8 words spread too wide for one pass, which
+    ``sort`` insertion-sorts; ``shifted`` is 9 to 16 values at or above
+    ``2**(w-1)`` inside one pass interval, practiced shifted down; and
+    ``unshifted`` is as many values below the tag, over one or two
+    intervals (9 at w=8, where two intervals of more would reach the tag).
+    """
+    word = WordSpec(draw(st.sampled_from((8, 16, 64))))
+    wm1 = word.w - 1
+    shape = draw(st.sampled_from(("finished", "shifted", "unshifted")))
+    if shape == "finished":
+        values = draw(
+            st.lists(st.integers(0, word.universe - 1), min_size=1, max_size=7, unique=True)
+        )
+        assume(max(values) - min(values) >= wm1 * (len(values) + 1))
+    else:
+        n = draw(st.integers(9, min(16, word.tag_mask // (2 * wm1))))
+        width = wm1 * n * (1 if shape == "shifted" else draw(st.integers(1, 2)))
+        start = word.tag_mask if shape == "shifted" else 0
+        start += draw(st.integers(0, word.tag_mask - width))
+        values = draw(
+            st.lists(st.integers(start, start + width - 1), min_size=n, max_size=n, unique=True)
+        )
+    copy = draw(st.sampled_from(values))
+    values = draw(st.permutations(values + [copy]))
+    return word, values, copy
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=inputs_with_a_duplicate())
+def test_duplicate_leaves_the_input_values(case):
+    # After DuplicateDetected the sequence is a permutation of its input:
+    # practice decodes its nodes, the finisher refills its hole and the
+    # sort undoes its one shift.
+    word, values, copy = case
+    sorters = [sort] if max(values) >= word.tag_mask else [sort, sort_region]
+    for sorter in sorters:
+        for data in (list(values), array("Q", values)):
+            with pytest.raises(DuplicateDetected) as info:
+                sorter(data, word)
+            assert info.value.value == copy
+            assert sorted(data) == sorted(values)

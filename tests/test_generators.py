@@ -18,6 +18,7 @@ from assocsort import (
     generators,
     predict_worst_pass_bound,
     sort,
+    sort_region,
     verify_pass_tally,
 )
 from assocsort.verification import VERIFY_WIDTHS
@@ -67,6 +68,8 @@ class TestAdversarial:
         assert gen_adversarial(1, W16) == [0]
 
     def test_one_pass_per_value(self):
+        # The paper's loop, sort_region, sorts one value per pass.  sort()
+        # insertion-sorts these four words, for one pass cannot hold them.
         data = gen_adversarial(4, W16)
         sorted_counts = []
 
@@ -74,9 +77,12 @@ class TestAdversarial:
             if event.phase == "retrieve":
                 sorted_counts.append(event.tally.sorted_count)
 
-        report = sort(data, W16, hook=hook)
+        report = sort_region(data, W16, hook=hook)
         assert report.pass_count == 4
         assert sorted_counts == [1, 1, 1, 1]
+        data = gen_adversarial(4, W16)[::-1]
+        assert sort(data, W16, hook=hook).pass_count == 0
+        assert data == [0, 60, 120, 180] and len(sorted_counts) == 4
 
     def test_infeasible_at_small_width(self):
         # 3*3*4 = 36 does not fit below 2^3

@@ -1,7 +1,8 @@
 """The engine and CLI hooks the benchmark's traced run relies on.
 
 ``perfbench/tracing.py`` wraps the four phase functions by module-global
-name and reads each call's ``WorkCounter`` deltas, and times the CLI's
+name and reads each call's ``WorkCounter`` deltas (a bucket that ``sort``
+insertion-sorts calls none of them), and times the CLI's
 ``read_list``, ``sort`` and ``write_list`` the same way.  These tests load
 it by path, as the benchmark does not ship in the package, and check that
 its per-phase totals still account for the whole ``SortReport`` and that
@@ -29,20 +30,22 @@ def _load_tracing():
 
 
 @pytest.mark.parametrize(
-    ("values", "word", "split", "splitter_sweeps"),
+    ("values", "word", "split", "passes", "splitter_sweeps"),
     [
-        # one pass per value, all below the tag: after the second pass the
-        # remainder's span reaches (w-1)*L**2 and it goes back to the
-        # splitter, whose partition sweeps and bucket scans are pinned here;
-        # a bucket of at most 8 words is passed, not split
-        (gen_adversarial(16, WordSpec(16)), WordSpec(16), False, 21),
-        # values on both sides of 2**63: the range splitter runs first, its
-        # partition sweeps and bucket scans pinned for this fixed input
-        (generate(DatasetSpec("full_universe", 64, 64, seed=3)), WordSpec(64), True, 373),
+        # one value per pass of the paper's loop, all below the tag: after
+        # the second pass the remainder's span reaches (w-1)*L**2 and it
+        # goes back to the splitter; its partition sweeps and bucket scans
+        # and the comparisons that insertion-sort its buckets of at most 8
+        # words are pinned here
+        (gen_adversarial(16, WordSpec(16)), WordSpec(16), False, 2, 33),
+        # values on both sides of 2**63, sparse_universe's shape at another
+        # seed: the range splitter runs first, and its sweeps and scans and
+        # the finisher's comparisons are pinned for this fixed input
+        (generate(DatasetSpec("full_universe", 4096, 64, seed=3)), WordSpec(64), True, 5, 66_525),
     ],
     ids=["no_split", "tag_split"],
 )
-def test_phase_totals_account_for_the_report(values, word, split, splitter_sweeps):
+def test_phase_totals_account_for_the_report(values, word, split, passes, splitter_sweeps):
     assert split == any(v >= word.tag_mask for v in values)
     tracing = _load_tracing()
     data = list(values)
@@ -52,9 +55,11 @@ def test_phase_totals_account_for_the_report(values, word, split, splitter_sweep
     record = trace.take(report)
     phases = record["phases"]
     assert set(phases) == {"practice", "store", "partition", "retrieve"}
+    # tracing.engine_metrics divides by the words the passes practiced
+    assert report.pass_count == passes and record["region_sum"] > 0
     for name, totals in phases.items():
         assert totals["calls"] == report.pass_count, name
-    sweeps = len(values) + splitter_sweeps  # validation, then the splitter
+    sweeps = len(values) + splitter_sweeps  # validation, then splitter and finisher
     assert sum(t["scanned"] for t in phases.values()) + sweeps == report.words_scanned
 
 

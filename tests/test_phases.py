@@ -78,11 +78,17 @@ class TestPractice:
             practice_pass([5, 5], Region(0, 2, 5), W8)
 
     def test_value_below_delta_rejected_before_its_word_is_written(self):
-        # 9 claims node 0; 3 lies below delta=5 and stops the pass at index 1.
+        # 9 claims node 0; 3 lies below delta=5 and stops the pass at index 1,
+        # which decodes node 0 back to 9.  Next, 10 claims node 0 and 11
+        # joins it before the cursor, so 11's bit is cleared before the decode.
         data = [9, 3]
         with pytest.raises(ValueError, match="value 3 at index 1 is below the pass minimum 5"):
             practice_pass(data, Region(0, 2, 5), W8)
-        assert data[1] == 3
+        assert data == [9, 3]
+        data = [10, 11, 3]
+        with pytest.raises(ValueError, match="value 3 at index 2 is below the pass minimum 5"):
+            practice_pass(data, Region(0, 3, 5), W8)
+        assert data == [10, 11, 3]
 
     def test_value_below_delta_rejected_under_optimize(self):
         # The guard must survive ``python -O``; unguarded, 3 hashes to node
