@@ -26,10 +26,11 @@ the whole window.  :func:`sort` accepts ``[0, 2**w)`` and splits the value
 range in place, MSD-radix style: each step splits the current bucket, runs
 one pass on it, or insertion-sorts a bucket of at most 8 words that one
 pass cannot sort, and what a pass defers stays the current bucket, so a
-bucket the passes shrink too slowly goes back to the splitter.  The first
-bucket that reaches the tag bit shifts the unsorted rest down once, and
-the loop shifts it back once at the end.  The loop keeps no stack of
-pending buckets.
+bucket the passes shrink too slowly goes back to the splitter.  A bucket
+that reaches the tag bit is shifted down while its passes run; each word
+is shifted back once a pass sorts it or the bucket leaves the passes, so
+only the current bucket ever holds shifted words.  The loop keeps no
+stack of pending buckets.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class DuplicateDetected(ValueError):
     ``value`` is the repeated value.  The sequence is left a permutation of
     its input: :func:`practice_pass` decodes its nodes before raising, the
     insertion sort that finishes a short bucket writes its held value back,
-    and ``sort`` undoes its one shift.  A hook that raises is not covered;
-    it may leave a pass half done.
+    and ``sort`` shifts its current bucket back.  The sort gives the same
+    guarantee for an exception a hook raises (see :class:`PhaseEvent`).
     """
 
     def __init__(self, value: int) -> None:
@@ -110,17 +111,16 @@ class WordSpec:
     w: int
     tag_mask: int = field(init=False)
     value_mask: int = field(init=False)
+    # Exclusive upper bound of representable values, ``2**w``; kept, not
+    # recomputed, so a sort allocates no new int for its limit.
+    universe: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not 2 <= self.w <= HOST_BITS:
             raise ValueError(f"word width must be in [2, {HOST_BITS}], got {self.w}")
         object.__setattr__(self, "tag_mask", 1 << (self.w - 1))
         object.__setattr__(self, "value_mask", (1 << (self.w - 1)) - 1)
-
-    @property
-    def universe(self) -> int:
-        """Exclusive upper bound of representable values, ``2**w``."""
-        return 1 << self.w
+        object.__setattr__(self, "universe", 1 << self.w)
 
 
 HOST_SPEC = WordSpec(HOST_BITS)
@@ -211,11 +211,19 @@ class PhaseEvent:
     skip nothing for it.  Events are built only for a sort that was given a
     hook.
     ``data`` is the live backing sequence; hooks must treat it as read-only.
-    ``bias`` is the one shift of a ``sort`` call: from the first pass whose
-    bucket reaches ``2**(w-1)`` on, passes run on values less the smaller
-    of that bucket's minimum and ``2**(w-1)`` (0 before that pass, and on
-    every ``sort_region`` pass).  Add it to ``region.delta`` or
-    ``tally.delta_prime`` to get input units.
+    ``bias`` is the shift of the pass's bucket: the passes on a ``sort``
+    bucket that reaches ``2**(w-1)`` run on its values less the smaller of
+    its minimum and ``2**(w-1)``, taken before its first pass (0 for any
+    other bucket, and on every ``sort_region`` pass).  Add it to
+    ``region.delta`` or ``tally.delta_prime`` to get input units.  Only
+    the region's words are shifted; the rest of ``data`` holds input
+    values.
+
+    A hook that raises is called no more; the pass it interrupted runs its
+    remaining phases, the sort shifts its bucket back, and the hook's
+    exception propagates with the sequence holding its input's values.
+    Only hook exceptions are covered: a ``KeyboardInterrupt`` that arrives
+    while a phase itself runs may still leave that phase half done.
     """
 
     phase: str
@@ -508,8 +516,9 @@ def retrieve_sorted(
             k = rec.bit_length() - 1
             rec ^= 1 << k
             p -= 1
-            t = data[p]
-            data[p] = (t & tag) | (vbase + k)
+            # Formed inline rather than in locals, so no int outlives its
+            # write and the pass's peak memory stays flat.
+            data[p] = vbase + k | tag if data[p] >= tag else vbase + k
         data[i] &= vmask
         r -= 1
         i -= 1
@@ -536,21 +545,41 @@ def run_pass(
     untagged.  ``region.delta`` may sit below the region minimum, which
     shifts where the nodes land.  ``hook``, when given, sees a PhaseEvent
     numbered ``index`` and carrying ``bias`` after each phase; without a
-    hook no event is built.
+    hook no event is built.  When the hook raises, it is not called again:
+    the remaining phases run, and the first exception is raised once
+    retrieval has left the region untagged.
     """
     tally = practice_pass(data, region, spec, work)
     if hook is not None:
-        hook(PhaseEvent("practice", index, region, tally, data, bias))
+        error = _call_hook(hook, PhaseEvent("practice", index, region, tally, data, bias), None)
     store_records(data, region, tally.n_d, spec, work)
     if hook is not None:
-        hook(PhaseEvent("store", index, region, tally, data, bias))
+        error = _call_hook(hook, PhaseEvent("store", index, region, tally, data, bias), error)
     partition_idles(data, region, tally, spec, work)
     if hook is not None:
-        hook(PhaseEvent("partition", index, region, tally, data, bias))
+        error = _call_hook(hook, PhaseEvent("partition", index, region, tally, data, bias), error)
     retrieve_sorted(data, region, tally, spec, work)
     if hook is not None:
-        hook(PhaseEvent("retrieve", index, region, tally, data, bias))
+        error = _call_hook(hook, PhaseEvent("retrieve", index, region, tally, data, bias), error)
+        if error is not None:
+            raise error
     return tally
+
+
+def _call_hook(
+    hook: PhaseHook, event: PhaseEvent, error: BaseException | None
+) -> BaseException | None:
+    """Call ``hook`` with ``event`` unless an earlier call raised; return the first exception.
+
+    ``run_pass`` re-raises it once the pass is whole, so a raising hook
+    never leaves records apart from their tags.
+    """
+    if error is None:
+        try:
+            hook(event)
+        except BaseException as exc:  # re-raised by run_pass after retrieval
+            return exc
+    return error
 
 
 def _check_item_width(data: MutableSequence[int], w: int) -> None:
@@ -562,8 +591,11 @@ def _check_item_width(data: MutableSequence[int], w: int) -> None:
     a ``memoryview`` and a ``bytearray`` follow one rule: unsigned formats
     ``BHILQ`` hold ``8*itemsize`` bits, signed ``bhilq`` one fewer, and any
     other format is refused.  A sequence without the buffer protocol, such
-    as a ``list``, holds any int.
+    as a ``list``, holds any int.  A ``list`` returns at once, so sorting
+    one builds and drops no TypeError.
     """
+    if isinstance(data, list):
+        return
     try:
         view = memoryview(data)
     except TypeError:
@@ -664,10 +696,39 @@ def _insertion_sort(
     work.written += written
 
 
-def _unshift(data: MutableSequence[int], upper: int, end: int, bias: int) -> None:
-    """Add the sort's one shift back to ``data[upper:end]``."""
-    for idx in range(upper, end):
-        data[idx] += bias
+def _shift(data: MutableSequence[int], start: int, stop: int, delta: int) -> None:
+    """Add ``delta`` to every word of ``data[start:stop]``."""
+    for idx in range(start, stop):
+        data[idx] += delta
+
+
+def _next_bucket(
+    data: MutableSequence[int], pos: int, end: int, limit: int
+) -> tuple[int, int, int]:
+    """Find the bucket that starts at ``pos``, once the one before it is sorted.
+
+    The bucket is the run of words agreeing with its first word ``x`` above
+    ``b``, the top bit where ``x`` and the sorted maximum ``data[pos-1]``
+    differ, for the split that parted them was on ``b`` and every value it
+    split agrees above it.  Every later bucket lies above that run, so the
+    scan stops at the first word at or above ``((x >> b) + 1) << b``.
+    Returns ``(stop, lo, hi)``: the bucket is ``data[pos:stop]``, with
+    minimum ``lo`` and maximum ``hi``.
+    """
+    b = (data[pos - 1] ^ data[pos]).bit_length() - 1
+    bound = ((data[pos] >> b) + 1) << b
+    lo, hi = limit, -1
+    stop = pos
+    while stop < end:
+        v = data[stop]
+        if v >= bound:
+            break
+        if v < lo:
+            lo = v
+        if v > hi:
+            hi = v
+        stop += 1
+    return stop, lo, hi
 
 
 def _sort(
@@ -694,42 +755,32 @@ def _sort(
     word below the tag.  A pass moves its sorted words out of the bucket
     and leaves the deferred rest as the current bucket, ``lo`` its deferred
     minimum, so the same rule decides whether to pass again, split or
-    finish.
+    finish.  When a pass or the finisher empties its bucket, the next turn
+    of the loop finds the successor with :func:`_next_bucket`, before it
+    tests for a split.  A remainder lies inside its bucket, so splitting it
+    keeps that scan's rule true.
 
-    One shift serves the whole sort.  At the first pass whose bucket has
-    ``hi >= 2**(w-1)``, every word of ``data[pos:end]``, and ``lo`` and
-    ``hi`` with them, is shifted down by ``bias = min(lo, 2**(w-1))``, and
-    ``upper`` is set to that ``pos``.  After the loop ``data[upper:end]``
-    is shifted back once; ``upper`` starts at ``end``, so a sort that never
-    shifts writes nothing there.  The shifted words lie below the tag, and
-    the shift keeps every bit prefix the splitter and the successor scan
-    rely on:
+    A bucket with ``hi >= 2**(w-1)`` is shifted down by ``bias =
+    min(lo, 2**(w-1))`` before its first pass.  The words each pass sorts
+    are shifted back after it; the deferred rest stays shifted while the
+    passes go on, and is shifted back before it goes to the splitter or
+    the finisher.  So every word outside the current bucket holds its
+    input value, the splitter and the successor scan see input values
+    only, and a shifted word is written twice.  ``lo`` and ``hi`` stay in
+    input units; the pass's region starts at ``lo - bias``.  The shifted
+    words lie below the tag: if ``lo >= 2**(w-1)`` the shift clears bit
+    ``w-1``, and otherwise the bucket straddles the tag and spans less than
+    ``2**(w-1)``, or it would have been split.
 
-    - If ``lo >= 2**(w-1)``, every word left is at least ``lo``, for later
-      buckets lie above the current one.  Subtracting ``2**(w-1)`` only
-      clears bit ``w-1``, so every later :func:`_split_low` bit and
-      successor-scan prefix is unchanged.
-    - If ``lo < 2**(w-1)``, the bucket straddles the tag and was not split.
-      Any split of a straddling bucket is on bit ``w-1``, so such a pass
-      happens only before any split has run: the bucket is the whole rest,
-      and every later split runs in the shifted units.
-
-    When a pass or the finisher empties its bucket, the next turn of the
-    loop finds the successor again from the data, before it tests for a
-    split: it is the run of words agreeing with its first word ``x`` above
-    ``b``, the top bit
-    where ``x`` and the sorted maximum differ, for the split that parted
-    them was on ``b`` and every value it split agrees above it.  Every later
-    bucket lies above that run, so the scan stops at the first word at or
-    above ``((x >> b) + 1) << b``.  A remainder lies inside its bucket, so
-    splitting it keeps this true.  The pass count stays in a local and the
-    report is built once, at the end; its ``total_sorted`` is how far the
-    sorted prefix advanced, every pass's ``sorted_count`` plus every
-    finished bucket.  On DuplicateDetected ``data[upper:end]`` is shifted
-    back and the error raised again with ``bias`` added to its value, so
-    it names the value in input units and the window holds its input's
-    values.  A hook that raises is not covered and may leave a pass half
-    done.
+    The pass count stays in a local and the report is built once, at the
+    end; its ``total_sorted`` is how far the sorted prefix advanced, every
+    pass's ``sorted_count`` plus every finished bucket.  On any exception
+    the current bucket is shifted back before it propagates, and a
+    DuplicateDetected is raised again with ``bias`` added to its value, so
+    it names the value in input units.  A duplicate, and a hook's
+    exception, which :func:`run_pass` holds until its pass is whole, leave
+    whole values behind, so the window then holds its input's values.  A
+    ``KeyboardInterrupt`` inside a phase is out of scope.
     """
     started = time.perf_counter_ns()
     work = WorkCounter()
@@ -741,59 +792,71 @@ def _sort(
     split = limit > tag
     passes = 0
     pos = offset
-    stop = upper = end = offset + length
+    stop = end = offset + length
     bias = 0
     try:
         while pos < end:
             if pos == stop:
-                b = (data[pos - 1] ^ data[pos]).bit_length() - 1
-                bound = ((data[pos] >> b) + 1) << b
-                lo, hi = limit, -1
-                while stop < end:
-                    v = data[stop]
-                    if v >= bound:
-                        break
-                    if v < lo:
-                        lo = v
-                    if v > hi:
-                        hi = v
-                    stop += 1
+                stop, lo, hi = _next_bucket(data, pos, end, limit)
                 work.scanned += stop - pos
             size = stop - pos
-            span = hi - lo
-            if split and size <= _SPLIT_FLOOR and span >= wm1 * size:
+            # hi - lo is formed where it is compared, not kept: a kept span
+            # is one more live int while the splitter or a pass runs.
+            finish = split and size <= _SPLIT_FLOOR and hi - lo >= wm1 * size
+            cut = (
+                split
+                and not finish
+                and (hi - lo >= tag or (size > _SPLIT_FLOOR and hi - lo >= wm1 * size * size))
+            )
+            if bias and (finish or cut):
+                _shift(data, pos, stop, bias)
+                work.written += size
+                bias = 0
+            if finish:
                 _insertion_sort(data, pos, stop, work)
                 pos = stop
                 continue
-            if split and (span >= tag or (size > _SPLIT_FLOOR and span >= wm1 * size * size)):
+            if cut:
                 stop, hi, swaps = _split_low(data, pos, stop, lo, hi)
                 work.scanned += size
                 work.written += 2 * swaps
                 continue
-            if hi >= tag:
-                upper, bias = pos, min(lo, tag)
-                for idx in range(pos, end):
-                    data[idx] -= bias
-                work.written += end - pos
-                lo -= bias
-                hi -= bias
+            if hi >= tag and not bias:
+                bias = min(lo, tag)
+                _shift(data, pos, stop, -bias)
+                work.written += size
             # The indices are valid here, so skip Region's checking __new__.
-            region = tuple.__new__(Region, (pos, size, lo))
-            tally = run_pass(data, region, spec, work, hook, passes, bias)
+            # Unshifted, the region takes lo itself, as lo - 0 would be a
+            # copy; no local keeps the region, and its delta, past the pass.
+            tally = run_pass(
+                data,
+                tuple.__new__(Region, (pos, size, lo - bias if bias else lo)),
+                spec,
+                work,
+                hook,
+                passes,
+                bias,
+            )
             passes += 1
-            pos += tally.n_d + tally.n_c
-            if pos < stop:
-                if tally.delta_prime is None:
-                    raise CorruptState(f"{stop - pos} values left but none was deferred")
-                lo = tally.delta_prime
-    except DuplicateDetected as exc:
-        # Practice decodes its nodes and the finisher refills its hole
-        # before raising, so every shifted word is below the tag again and
-        # adding bias back fits in 2**w.
-        _unshift(data, upper, end, bias)
-        raise DuplicateDetected(exc.value + bias) from None
-    _unshift(data, upper, end, bias)
-    work.written += end - upper
+            done = tally.n_d + tally.n_c
+            if bias:
+                _shift(data, pos, pos + done, bias)
+                work.written += done
+            pos += done
+            if pos == stop:
+                bias = 0
+            elif tally.delta_prime is None:
+                raise CorruptState(f"{stop - pos} values left but none was deferred")
+            else:
+                lo = tally.delta_prime + bias
+    except BaseException as exc:
+        # Practice decodes its nodes, the finisher refills its hole and
+        # run_pass finishes its pass before raising, so every shifted word
+        # is below the tag again and adding bias back fits in 2**w.
+        _shift(data, pos, stop, bias)
+        if isinstance(exc, DuplicateDetected):
+            raise DuplicateDetected(exc.value + bias) from None
+        raise
     return SortReport(
         passes, pos - offset, work.scanned, work.written, time.perf_counter_ns() - started
     )
@@ -839,9 +902,10 @@ def sort(
     unsorted is split again once it is too wide for its length, so
     adversarially spaced values cost linear scan work, not a pass over the
     whole rest each.  A bucket of at most 8 words that one pass cannot sort
-    is insertion-sorted, with no pass and no hook event.  Values at or above
-    ``2**(w-1)`` are sorted shifted down, all by one bias, and shifted back
-    once at the end; the report covers every bucket and sweep.  After
+    is insertion-sorted, with no pass and no hook event.  A bucket of values
+    at or above ``2**(w-1)`` is sorted shifted down, and each of its words
+    is shifted back once a pass sorts it or the bucket leaves the passes;
+    the report covers every bucket and sweep.  After
     DuplicateDetected the sequence holds its input's values, unsorted.
     """
     return _sort(data, spec, 0, len(data), hook, spec.universe)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import os
+import struct
 import subprocess
 import sys
 
 import pytest
 
-from assocsort import cli, load_csv
+from assocsort import DatasetSpec, cli, generate, load_csv
 from assocsort.cli import main
 from assocsort.verification import SuiteResult
 
@@ -119,6 +120,124 @@ class TestSort:
         code = run_cli(["sort", "--input", str(tmp_path / "absent"), "--output", str(tmp_path / "o")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def pack(values):
+    return struct.pack(f"<{len(values)}Q", *values)
+
+
+def split_point(values):
+    """The value at which the CLI's one split parts the two sides."""
+    lo, hi = min(values), max(values)
+    b = (lo ^ hi).bit_length() - 1
+    return (lo >> b | 1) << b
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count ``os.fork`` calls, and give the process two CPUs whatever the host has."""
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(True)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sort_file(tmp_path, values, *extra):
+    src = tmp_path / "in.bin"
+    dst = tmp_path / "out.bin"
+    src.write_bytes(pack(values))
+    code = run_cli(
+        ["sort", "--format", "binary", "--input", str(src), "--output", str(dst), *extra]
+    )
+    return code, dst
+
+
+class TestTwoProcesses:
+    N = cli._FORK_FLOOR
+
+    @pytest.mark.parametrize("family", ["best_case", "full_universe"])
+    def test_sorts_byte_exact(self, tmp_path, capsys, forks, family):
+        values = generate(DatasetSpec(family, self.N, 64, seed=11))
+        code, dst = sort_file(tmp_path, values)
+        assert code == 0 and len(forks) == 1
+        assert dst.read_bytes() == pack(sorted(values))
+        assert f"n={self.N} passes=" in capsys.readouterr().err
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("side", ["low", "high"])
+    def test_duplicate_on_either_side(self, tmp_path, capsys, forks, side):
+        values = generate(DatasetSpec("best_case", self.N, 64, seed=12))
+        ordered = sorted(values)
+        mid = split_point(values)
+        k = sum(v < mid for v in values)  # the high side's first index
+        # neither copy is the minimum or the maximum, so the split stays put
+        i = k + 1 if side == "high" else k - 3
+        copy = ordered[i]
+        values[values.index(ordered[i + 1])] = copy
+        code, dst = sort_file(tmp_path, values)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(forks) == 1
+        assert err == [f"error: DuplicateDetected: value {copy} occurs more than once"]
+        assert not dst.exists()
+        assert_no_child_left()
+
+    def test_dead_worker_is_corrupt_state(self, tmp_path, capsys, forks, monkeypatch):
+        parent = os.getpid()
+        real = cli.sort
+
+        def sort(data, spec):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(data, spec)
+
+        monkeypatch.setattr(cli, "sort", sort)
+        values = generate(DatasetSpec("best_case", self.N, 64, seed=13))
+        code, dst = sort_file(tmp_path, values)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(forks) == 1
+        assert len(err) == 1 and err[0].startswith("error: CorruptState:"), err
+        assert not dst.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["one_cpu", "no_fork", "below_floor", "too_wide"])
+    def test_one_process(self, tmp_path, capsys, monkeypatch, case):
+        def fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", fork)
+        n = self.N - 1 if case == "below_floor" else self.N
+        values = generate(DatasetSpec("best_case", n, 64, seed=14))
+        extra = []
+        if case == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        if case == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "too_wide":
+            values = list(range(n))  # 256 and beyond do not fit 8 bits
+            extra = ["--word-bits", "8"]
+        code, dst = sort_file(tmp_path, values, *extra)
+        err = capsys.readouterr().err.splitlines()
+        if case == "too_wide":
+            assert code == 1
+            assert len(err) == 1 and err[0].startswith("error: ValueExceedsUniverse:"), err
+            assert not dst.exists()
+        else:
+            assert code == 0
+            assert dst.read_bytes() == pack(sorted(values))
 
 
 class TestUsageErrors:
@@ -301,8 +420,8 @@ class TestTrace:
 
     def test_upper_half_delta_in_input_units(self, tmp_path, capsys):
         # Nine words are split on the tag bit, not finished.  40000 >= 2**15
-        # is then sorted shifted down by the sort's one bias, the smaller of
-        # its bucket's minimum and 2**15, so it is held as
+        # is then sorted shifted down by its bucket's bias, the smaller of
+        # that bucket's minimum and 2**15, so it is held as
         # 40000 - 2**15 = 7232; the header adds that bias back, the low
         # bits do not
         src = tmp_path / "in.txt"

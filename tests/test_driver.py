@@ -184,7 +184,7 @@ class TestSortUniverse:
             sort([200, 200, 1], W8)
 
     def test_duplicate_named_in_input_units(self):
-        # 53904 >= 2**15 is practiced shifted down by the sort's one bias
+        # 53904 >= 2**15 is practiced shifted down by its bucket's bias
         # to 21136; the error still names the value the input holds.
         with pytest.raises(DuplicateDetected, match=r"^value 53904 occurs more than once$") as info:
             sort([53904, 53904, 1, 2], WordSpec(16))
@@ -271,10 +271,10 @@ class TestReportTotals:
         assert split and multi_pass and finished
 
     def test_shifted_remainder_handed_back_to_the_splitter(self, monkeypatch):
-        # Adversarial spacing above the tag bit: the rest is shifted down
-        # once, by 2**15, before the first pass, and after its second pass
-        # it spans more than (w-1)*L**2, so it is split in the shifted units
-        # and never shifted again.
+        # Adversarial spacing above the tag bit: the bucket is shifted down
+        # by 2**15 before its first pass, and after its second pass the
+        # rest spans more than (w-1)*L**2, so it is shifted back and split
+        # in input units.
         word = WordSpec(16)
         n = 40
         values = [word.tag_mask + t * 15 * n for t in range(n)]
@@ -456,7 +456,7 @@ def inputs_with_a_duplicate(draw) -> tuple[WordSpec, list[int], int]:
 def test_duplicate_leaves_the_input_values(case):
     # After DuplicateDetected the sequence is a permutation of its input:
     # practice decodes its nodes, the finisher refills its hole and the
-    # sort undoes its one shift.
+    # sort shifts its bucket back.
     word, values, copy = case
     sorters = [sort] if max(values) >= word.tag_mask else [sort, sort_region]
     for sorter in sorters:
@@ -465,3 +465,55 @@ def test_duplicate_leaves_the_input_values(case):
                 sorter(data, word)
             assert info.value.value == copy
             assert sorted(data) == sorted(values)
+
+
+class HookFailed(Exception):
+    """Raised by the hook under test, so no other raise is mistaken for it."""
+
+
+@st.composite
+def raising_hooks(draw) -> tuple:
+    """A sorter, a width, distinct values it accepts, and the event to raise at.
+
+    The values lie in a window of one to three pass intervals, so passes
+    defer values and run again.  Through ``sort`` the window lies anywhere
+    in the universe, so some sorts shift and some straddle the tag bit.
+    """
+    word = WordSpec(draw(st.sampled_from((8, 16, 64))))
+    sorter = draw(st.sampled_from((sort, sort_region)))
+    limit = word.universe if sorter is sort else word.tag_mask
+    n = draw(st.integers(1, 24))
+    width = min(limit, (word.w - 1) * n * draw(st.integers(1, 3)))
+    start = draw(st.integers(0, limit - width))
+    if draw(st.booleans()):  # as often near the top of the range as near 0
+        start = limit - width - start
+    values = draw(
+        st.lists(st.integers(start, start + width - 1), min_size=1, max_size=n, unique=True)
+    )
+    phase = draw(st.sampled_from(("practice", "store", "partition", "retrieve")))
+    return sorter, word, values, (draw(st.integers(0, 2)), phase)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=raising_hooks())
+def test_raising_hook_leaves_the_input_values(case):
+    # A hook that raises is called no more, its pass finishes, its bucket
+    # is shifted back, and then its exception propagates with the input's
+    # values.
+    sorter, word, values, at = case
+    for data in (list(values), array("Q", values)):
+        seen = []
+
+        def hook(event: PhaseEvent) -> None:
+            seen.append((event.pass_index, event.phase))
+            if seen[-1] == at:
+                raise HookFailed
+
+        try:
+            sorter(data, word, hook=hook)
+        except HookFailed:
+            assert seen[-1] == at
+            assert sorted(data) == sorted(values)
+        else:
+            assert at not in seen
+            assert list(data) == sorted(values)

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import importlib.util
 import struct
+import sys
+from array import array
 from pathlib import Path
 
 import pytest
 
 from assocsort import DatasetSpec, WordSpec, cli, engine, gen_adversarial, generate, sort
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -78,3 +81,31 @@ def test_cli_timers_see_every_call(tmp_path):
     assert dst.read_bytes() == struct.pack(f"<{len(values)}Q", *sorted(values))
     assert all(timer.ns[name] > 0 for name in names), timer.ns
     assert timer.last_report.total_sorted == len(values)
+
+
+def test_two_process_summary_line(tmp_path, capsys, monkeypatch):
+    # perfbench reads the CLI child's sort time from its summary line; on a
+    # file large enough for two processes the line keeps its form, and its
+    # passes are the two sides' own.
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports tracing
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    n = cli._FORK_FLOOR
+    values = generate(DatasetSpec("best_case", n, 64, seed=2))
+    src = tmp_path / "in.bin"
+    dst = tmp_path / "out.bin"
+    src.write_bytes(struct.pack(f"<{n}Q", *values))
+    code = cli.main(["sort", "--format", "binary", "--input", str(src), "--output", str(dst)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert run._nanos(err.encode()) > 0
+    fields = dict(part.split("=", 1) for part in err.splitlines()[-1].split())
+    words = array("Q", values)
+    k, _, _ = engine._split_low(words, 0, n, min(words), max(words))
+    with memoryview(words) as view, view[:k] as low, view[k:] as high:
+        passes = sort(low).pass_count + sort(high).pass_count
+    assert int(fields["n"]) == n and int(fields["passes"]) == passes
+    assert dst.read_bytes() == struct.pack(f"<{n}Q", *sorted(values))

@@ -180,8 +180,8 @@ def test_tag_clause_splits_a_short_bucket(monkeypatch):
 
 @pytest.mark.parametrize("w", (8, 16, 64))
 def test_narrow_straddling_input_takes_one_pass(w):
-    # Seven values around 2**(w-1) fit one pass.  The sort's one shift is
-    # by their minimum, so they are passed, not split on the tag bit.
+    # Seven values around 2**(w-1) fit one pass.  Their bucket is shifted
+    # by its minimum, so they are passed, not split on the tag bit.
     word = WordSpec(w)
     values = [word.tag_mask - 3 + t for t in range(7)]
     random.Random(w).shuffle(values)
@@ -198,7 +198,9 @@ def test_narrow_straddling_input_takes_one_pass(w):
     ("descending", "written"), ((False, 8_200), (True, 12_292))
 )
 def test_adversarial_above_the_tag_is_shifted_once(descending, written):
-    # Shifted down once and back once: 2*4,096 shift writes, plus the two
+    # Each word is shifted down once and back once: 2*4,096 shift writes
+    # (the bucket down before its first pass, each pass's one word back
+    # after it, the rest back before the splitter takes it), plus the two
     # one-word passes' 8 and, descending, the splitter's swaps and the
     # finisher's moves.
     word = WordSpec(64)
@@ -211,6 +213,34 @@ def test_adversarial_above_the_tag_is_shifted_once(descending, written):
     assert report.pass_count == 2
     assert report.words_scanned == 71_680
     assert report.words_written == written
+
+
+def test_only_the_passed_bucket_is_shifted():
+    # Sparse 64-bit values: every pass is on a one-word bucket, some above
+    # the tag.  While a pass runs, every word outside its region holds an
+    # input value, and after the sort only words that a pass sorted are
+    # new int objects: rebuilding ints that no pass needs can touch fresh
+    # memory pages.
+    values = generate(DatasetSpec("full_universe", 1 << 12, 64, seed=1))
+    inputs = set(values)
+    buf = list(values)
+    passed = []
+
+    def check(event):
+        start = event.region.offset
+        stop = start + event.region.length
+        assert all(v in inputs for v in buf[:start])
+        assert all(v in inputs for v in buf[stop:])
+        if event.phase == "practice":
+            passed.append(event)
+
+    report = sort(buf, hook=check)
+    assert buf == sorted(values)
+    assert any(event.bias for event in passed)
+    kept = {id(v) for v in values}
+    rebuilt = sum(id(v) not in kept for v in buf)
+    assert 0 < rebuilt <= sum(event.region.length for event in passed)
+    assert report.pass_count == len(passed)
 
 
 def _aux_peak(n: int) -> int:
