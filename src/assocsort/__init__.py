@@ -3,7 +3,7 @@
 The engine hashes each value to a (node, bit) address inside the list
 itself, packs presence bitmasks into tagged words, and expands them back in
 sorted order, one linear pass per value interval.  Companion modules
-provide dataset generators, independent oracles, a benchmark harness, file
+provide dataset generators, independent oracles, a work-count table, file
 I/O and a CLI.  Each module's ``__all__`` is its one list of public names;
 the package re-exports those lists.
 """

@@ -1,5 +1,9 @@
 """Command-line entry point: sort, verify, bench and trace workflows.
 
+``bench`` writes the paper's work table: passes and words scanned per
+dataset beside the bound ``n + ceil(m/(w-1))``, every sort verified.  It
+reads no clock; timing a sort is the job of the benchmark in ``perfbench/``.
+
 Data flows on stdout (or ``--output``); diagnostics and summaries go to
 stderr, so sorted output is pipeline-safe.  Exit statuses: 0 success,
 1 verification or data error, 2 usage error.
@@ -113,13 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(run=_cmd_verify)
 
     p_bench = sub.add_parser(
-        "bench", parents=[width], help="run benchmark suites and emit CSV"
+        "bench", parents=[width], help="sort each dataset once and write its work table"
     )
     p_bench.add_argument("--csv", required=True, help="destination CSV path")
     p_bench.add_argument("--families", type=_family_list, default=list(FAMILIES[:3]))
     p_bench.add_argument("--n", type=_int_list, default=[1024])
     p_bench.add_argument("--beta", type=_int_list, default=[2])
-    p_bench.add_argument("--reps", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(run=_cmd_bench)
 
@@ -299,7 +302,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # Open the destination first, so a path that cannot be written fails
     # before the suite runs rather than after it.
     with opened(args.csv, "w", newline="") as fh:
-        records = run_suite(suite, repetitions=args.reps)
+        records = run_suite(suite)
         emit_csv(records, fh)
     print(f"wrote {len(records)} records to {args.csv}", file=sys.stderr)
     return 0

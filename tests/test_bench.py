@@ -1,4 +1,4 @@
-"""Benchmark harness: cardinality, verification gate, CSV round-trips."""
+"""Work table: cardinality, verification gate, the paper's bound, CSV round-trips."""
 
 from __future__ import annotations
 
@@ -8,95 +8,97 @@ import pytest
 
 import assocsort.bench as bench_mod
 from assocsort import (
-    ALGORITHMS,
     BenchRecord,
     DatasetSpec,
-    DuplicateDetected,
     VerificationFailed,
     WordSpec,
-    counting_sort,
     emit_csv,
     generate,
     load_csv,
     run_suite,
+    sort,
     sort_region,
 )
+from assocsort.cli import main
 
-EXPECTED_HEADER = "algorithm,family,n,m,w,passes,words_scanned,nanos,seed"
-
-
-class TestCountingSort:
-    def test_basic(self):
-        assert counting_sort([9, 2, 0, 11]) == [0, 2, 9, 11]
-        assert counting_sort([]) == []
-
-    def test_sparse_range(self):
-        assert counting_sort([1000, 3, 500]) == [3, 500, 1000]
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateDetected, match=r"^value 3 occurs more than once$"):
-            counting_sort([3, 3])
-
-
-def assoc(records):
-    """The in-place sorter's records, in suite order."""
-    return [r for r in records if r.algorithm == "assoc"]
+EXPECTED_HEADER = "family,n,m,w,passes,words_scanned,bound,seed"
 
 
 class TestRunSuite:
     def test_cardinality(self):
-        suite = [DatasetSpec("uniform", 32, 16, beta=2, seed=1)]
-        records = run_suite(suite, repetitions=3)
-        assert len(records) == 9
-        assert [r.algorithm for r in records[::3]] == list(ALGORITHMS)
+        suite = [
+            DatasetSpec("uniform", 32, 16, beta=2, seed=1),
+            DatasetSpec("best_case", 16, 16, seed=2),
+            DatasetSpec("adversarial", 8, 16, seed=3),
+        ]
+        records = run_suite(suite)
+        assert [(r.family, r.seed) for r in records] == [
+            ("uniform", 1),
+            ("best_case", 2),
+            ("adversarial", 3),
+        ]
 
     def test_best_case_single_pass(self):
         suite = [DatasetSpec("best_case", 64, 16, seed=2)]
-        records = assoc(run_suite(suite))
+        records = run_suite(suite)
         assert records and all(r.passes == 1 for r in records)
 
     def test_adversarial_pass_per_value(self):
-        # One pass per value is the paper's law, on sort_region.  The bench
+        # One pass per value is the paper's law, on sort_region.  The table
         # runs sort(), which splits the spread and insertion-sorts each
         # bucket of at most 8 words that one pass cannot sort: 2 passes.
         spec = DatasetSpec("adversarial", 64, 32, seed=0)
         assert sort_region(generate(spec), WordSpec(32)).pass_count == 64
-        records = assoc(run_suite([spec]))
+        records = run_suite([spec])
         assert (records[0].passes, records[0].words_scanned) == (2, 536)
-
-    def test_baselines_report_no_passes(self):
-        suite = [DatasetSpec("uniform", 16, 16, beta=1, seed=3)]
-        records = [r for r in run_suite(suite) if r.algorithm != "assoc"]
-        assert {r.algorithm for r in records} == {"oracle_comparison", "counting_baseline"}
-        assert all(r.passes == 0 and r.words_scanned == 0 for r in records)
-        assert all(r.nanos > 0 for r in records)
-
-    def test_counting_skipped_beyond_cap(self, monkeypatch):
-        monkeypatch.setattr(bench_mod, "DEFAULT_COUNTING_CAP", 100)
-        suite = [DatasetSpec("uniform", 16, 32, beta=8, seed=3)]
-        records = run_suite(suite)
-        assert {r.algorithm for r in records} == {"assoc", "oracle_comparison"}
-
-    def test_deterministic_counters_across_reps(self):
-        suite = [DatasetSpec("uniform", 128, 16, beta=4, seed=9)]
-        records = assoc(run_suite(suite, repetitions=4))
-        assert len(records) == 4
-        assert len({(r.passes, r.words_scanned) for r in records}) == 1
 
     def test_records_carry_actual_range(self):
         suite = [DatasetSpec("adversarial", 8, 16, seed=0)]
-        rec = assoc(run_suite(suite))[0]
+        rec = run_suite(suite)[0]
         assert rec.m == 7 * 15 * 8 + 1
         assert rec.n == 8 and rec.w == 16
+        assert rec.bound == 8 + 57  # n + ceil(841 / 15)
 
     def test_verification_gate(self, monkeypatch):
-        def broken(values):
-            return list(values)  # pretends to sort, does not
+        def broken(data, spec):
+            report = sort(data, spec)
+            data.reverse()  # reports a sort, leaves the values unsorted
+            return report
 
-        monkeypatch.setattr(bench_mod, "counting_sort", broken)
+        monkeypatch.setattr(bench_mod, "sort", broken)
         suite = [DatasetSpec("uniform", 16, 16, beta=1, seed=123)]
-        with pytest.raises(VerificationFailed, match="counting_baseline .*seed=123"):
+        with pytest.raises(VerificationFailed, match="family=uniform .*seed=123"):
             run_suite(suite)
+
+    def test_cli_writes_identical_bytes_twice(self, tmp_path):
+        argv = [
+            "bench",
+            "--families", "uniform,best_case,adversarial,full_universe",
+            "--n", "256,1024",
+            "--beta", "2,8",
+            "--word-bits", "32",
+        ]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*argv, "--csv", str(first)]) == 0
+        assert main([*argv, "--csv", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        assert len(load_csv(first)) == 4 + 3 * 2  # uniform has 2 betas per size
+
+    def test_scanned_words_within_twice_the_bound(self):
+        # The paper's O(n + m/(w-1)) work, shown on sort() rather than on
+        # sort_region alone.  Not full_universe at small w: there the
+        # splitter's sweeps are bounded by (2w + 4)*n instead.
+        sizes = (1 << 10, 1 << 12, 1 << 14)
+        suite = [
+            DatasetSpec("uniform", n, 64, beta=beta, seed=beta * n)
+            for beta in (2, 4, 8)
+            for n in sizes
+        ]
+        suite += [DatasetSpec("best_case", n, 64, seed=n) for n in sizes]
+        records = run_suite(suite)
+        assert len(records) == 12
+        over = [r for r in records if r.words_scanned > 2 * r.bound]
+        assert not over, over
 
 
 class TestCsv:
@@ -105,7 +107,7 @@ class TestCsv:
             DatasetSpec("uniform", 32, 16, beta=2, seed=1),
             DatasetSpec("best_case", 16, 16, seed=2),
         ]
-        return run_suite(suite, repetitions=2)
+        return run_suite(suite)
 
     def test_header_only_when_empty(self):
         buf = io.StringIO()
@@ -129,7 +131,8 @@ class TestCsv:
         buf = io.StringIO()
         emit_csv(self._records()[:1], buf)
         row = buf.getvalue().splitlines()[1].split(",")
-        assert all(part.isdigit() for part in row[2:])
+        assert row[0] == "uniform"
+        assert all(part.isdigit() for part in row[1:])
 
     def test_load_rejects_foreign_header(self):
         with pytest.raises(ValueError):
@@ -137,5 +140,5 @@ class TestCsv:
 
 
 def test_bench_record_is_value_like():
-    rec = BenchRecord("assoc", "uniform", 1, 1, 8, 1, 1, 1, 0)
-    assert rec == BenchRecord("assoc", "uniform", 1, 1, 8, 1, 1, 1, 0)
+    rec = BenchRecord("uniform", 1, 1, 8, 1, 1, 2, 0)
+    assert rec == BenchRecord("uniform", 1, 1, 8, 1, 1, 2, 0)

@@ -264,12 +264,11 @@ class TestUsageErrors:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench", "--reps", "0"],
         ["bench", "--n", "-5"],
         ["bench", "--families", "uniform", "--beta", "0"],
         ["verify", "--trials", "-1"],
     ],
-    ids=["reps_0", "n_negative", "beta_0", "trials_negative"],
+    ids=["n_negative", "beta_0", "trials_negative"],
 )
 def test_bad_numbers_fail_with_one_line(tmp_path, capsys, argv):
     if argv[0] == "bench":
@@ -317,21 +316,20 @@ class TestBench:
                 "--csv", str(csv_path),
                 "--families", "best_case,adversarial",
                 "--n", "16,32",
-                "--reps", "2",
                 "--word-bits", "16",
                 "--seed", "5",
             ]
         )
         assert code == 0
         records = load_csv(csv_path)
-        # 2 families x 2 sizes x 3 algorithms x 2 reps
-        assert len(records) == 24
-        assoc_best = [r for r in records if r.algorithm == "assoc" and r.family == "best_case"]
-        assert all(r.passes == 1 for r in assoc_best)
-        assoc_adv = [r for r in records if r.algorithm == "assoc" and r.family == "adversarial"]
+        # 2 families x 2 sizes, one row each
+        assert len(records) == 4
+        best = [r for r in records if r.family == "best_case"]
+        assert [r.passes for r in best] == [1, 1]
+        adv = [r for r in records if r.family == "adversarial"]
         # sort() splits the spread and finishes its short buckets: two
         # passes at either size, where sort_region would run one per value
-        assert sorted(r.passes for r in assoc_adv) == [2, 2, 2, 2]
+        assert [r.passes for r in adv] == [2, 2]
 
     def test_uniform_beta_grid(self, tmp_path):
         csv_path = tmp_path / "bench.csv"
@@ -342,13 +340,12 @@ class TestBench:
                 "--families", "uniform",
                 "--n", "64",
                 "--beta", "2,4",
-                "--reps", "1",
                 "--word-bits", "16",
             ]
         )
         assert code == 0
         records = load_csv(csv_path)
-        assert len(records) == 6  # 2 betas x 3 algorithms
+        assert len(records) == 2  # one row per beta
 
     def test_infeasible_suite_fails_cleanly(self, tmp_path, capsys):
         code = run_cli(

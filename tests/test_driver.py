@@ -517,3 +517,47 @@ def test_raising_hook_leaves_the_input_values(case):
         else:
             assert at not in seen
             assert list(data) == sorted(values)
+
+
+@st.composite
+def inputs_with_a_bad_value(draw) -> tuple:
+    """A sorter, a width, its input with one bad value, that value's index and error.
+
+    The other values are distinct and accepted.  The bad one is a float, a
+    bool, a str, a negative int, or an int at or above the sorter's limit:
+    ``2**w`` for ``sort``, ``2**(w-1)`` for ``sort_region``.
+    """
+    word = WordSpec(draw(st.sampled_from((8, 16, 64))))
+    sorter = draw(st.sampled_from((sort, sort_region)))
+    limit = word.universe if sorter is sort else word.tag_mask
+    values = draw(st.lists(st.integers(0, limit - 1), max_size=24, unique=True))
+    error, bad = draw(
+        st.sampled_from(
+            (
+                (TypeError, st.floats()),
+                (TypeError, st.booleans()),
+                (TypeError, st.text(max_size=3)),
+                (ValueExceedsUniverse, st.integers(max_value=-1)),
+                (ValueExceedsUniverse, st.integers(limit, limit << 8)),
+            )
+        )
+    )
+    index = draw(st.integers(0, len(values)))
+    values.insert(index, draw(bad))
+    return sorter, word, values, index, error
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=inputs_with_a_bad_value())
+def test_bad_value_raises_before_any_write(case):
+    # The validation sweep reads every word before the first write, so the
+    # bad value is named and the sequence keeps every element in place.
+    sorter, word, values, index, error = case
+    bad = values[index]
+    runs = [list(values)]
+    if type(bad) is int and 0 <= bad < 1 << 64:  # fits an array("Q") item
+        runs.append(array("Q", values))
+    for data in runs:
+        with pytest.raises(error, match=rf" at index {index} is "):
+            sorter(data, word)
+        assert list(data) == values
