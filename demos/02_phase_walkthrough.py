@@ -45,7 +45,8 @@ store_records(data, region, tally.n_d, word)
 show("stored")
 
 # Partitioning: idle payloads cluster right behind the records so retrieval
-# can expand over a contiguous area (no deferred values here, so no motion).
+# can expand over a contiguous area.  Nothing was deferred here, so every
+# payload is in range already and the phase returns without a write.
 partition_idles(data, region, tally, word)
 show("partitioned")
 

@@ -123,7 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--families", type=_family_list, default=list(FAMILIES[:3]))
     p_bench.add_argument("--n", type=_int_list, default=[1024])
     p_bench.add_argument("--beta", type=_int_list, default=[2])
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument(
+        "--seed", type=int, default=0, help="seed of every dataset in the table"
+    )
     p_bench.set_defaults(run=_cmd_bench)
 
     p_trace = sub.add_parser(
@@ -289,16 +291,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    suite = []
-    index = 0
-    for family in args.families:
-        betas = args.beta if family == "uniform" else [1]
-        for n in args.n:
-            for beta in betas:
-                suite.append(
-                    DatasetSpec(family, n, args.word.w, beta=beta, seed=args.seed + index)
-                )
-                index += 1
+    # Every dataset takes --seed itself, so a row does not depend on which
+    # other families, sizes or betas the table was asked for.
+    suite = [
+        DatasetSpec(family, n, args.word.w, beta=beta, seed=args.seed)
+        for family in args.families
+        for n in args.n
+        for beta in (args.beta if family == "uniform" else [1])
+    ]
     # Open the destination first, so a path that cannot be written fails
     # before the suite runs rather than after it.
     with opened(args.csv, "w", newline="") as fh:

@@ -38,9 +38,13 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, MutableSequence
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 HOST_BITS = 64
+# The record bits ``1 << k`` for every width: a pass reads a bit from here
+# instead of building one per value, since a record has at most 63 of them.
+_BITS = tuple(1 << k for k in range(HOST_BITS - 1))
 # A bucket of L <= 8 words that one pass cannot sort is insertion-sorted in
 # at most L*(L-1)/2 = 28 comparisons, less than the partition sweeps and
 # successor scans of splitting it or the pass per value its passes may take.
@@ -100,12 +104,26 @@ class ValueExceedsUniverse(ValueError):
     """A value does not fit the configured word width."""
 
 
+@cache
+def _tagged_words(w: int) -> tuple[int, ...]:
+    """The ``w-1`` one-value node words ``2**(w-1) | 2**k``, built once per width."""
+    return tuple(1 << (w - 1) | bit for bit in _BITS[: w - 1])
+
+
 @dataclass(frozen=True)
 class WordSpec:
     """Bit layout of the simulated w-bit word.
 
     The tag occupies bit ``w-1`` and marks a word as a node; the remaining
     low ``w-1`` bits hold either a plain value or a node's record.
+
+    ``tagged[k]`` is the node word ``tag_mask | 1 << k`` that a pass writes
+    when value bit ``k`` founds a node.  A node starts as one of only these
+    ``w-1`` words, so the passes store the table's int instead of building
+    one per node, and read each record bit ``1 << k`` from one tuple that
+    every width shares.  Every ``WordSpec`` of one width shares one table,
+    built on first use, so constructing a spec stays cheap; the table takes
+    no part in the repr or in equality, which stay on ``w``.
     """
 
     w: int
@@ -114,6 +132,7 @@ class WordSpec:
     # Exclusive upper bound of representable values, ``2**w``; kept, not
     # recomputed, so a sort allocates no new int for its limit.
     universe: int = field(init=False)
+    tagged: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 2 <= self.w <= HOST_BITS:
@@ -121,6 +140,7 @@ class WordSpec:
         object.__setattr__(self, "tag_mask", 1 << (self.w - 1))
         object.__setattr__(self, "value_mask", (1 << (self.w - 1)) - 1)
         object.__setattr__(self, "universe", 1 << self.w)
+        object.__setattr__(self, "tagged", _tagged_words(self.w))
 
 
 HOST_SPEC = WordSpec(HOST_BITS)
@@ -300,6 +320,8 @@ def practice_pass(
     """
     wm1 = spec.w - 1
     tag = spec.tag_mask
+    tagged = spec.tagged
+    bits = _BITS
     delta = region.delta
     n = region.length
     base = region.offset
@@ -331,12 +353,12 @@ def practice_pass(
         q = off // wm1
         j = base + q
         node = data[j]
-        bit = 1 << (off - q * wm1)
+        r = off - q * wm1
         if node >= tag:
-            if node & bit:
+            if node & bits[r]:
                 _undo_practice(data, base, end, i, delta, spec)
                 raise DuplicateDetected(s)
-            data[j] = node | bit
+            data[j] = node | bits[r]
             n_c += 1
             i += 1
         else:
@@ -345,7 +367,7 @@ def practice_pass(
             # already classified, so the cursor moves on; from j > i it has
             # not been seen yet and is re-examined at i.
             data[i] = node
-            data[j] = tag | bit
+            data[j] = tagged[r]
             n_d += 1
             if j <= i:
                 i += 1
@@ -377,7 +399,7 @@ def _undo_practice(
         s = data[i]
         if s < tag and delta <= s < top:
             q = (s - delta) // wm1
-            data[base + q] ^= 1 << (s - delta - q * wm1)
+            data[base + q] ^= _BITS[s - delta - q * wm1]
     for p in range(base, end):
         node = data[p]
         if node >= tag:
@@ -438,12 +460,15 @@ def partition_idles(
     ``n_c`` in-range values come first and the deferred values last.  Tags
     stay put; a payload is deferred iff its hash quotient reaches the region
     length, that is iff it is at least ``delta + (w-1)*length``, a bound
-    formed once per call.  Terminates after exactly ``n_c`` placements, and
-    returns at once, writing nothing, when there are none.  Every word must
-    be below ``2**w``, which the sort entry points validate; the tag
-    ``2**(w-1)`` is then the word's top bit.
+    formed once per call.  Terminates after exactly ``n_c`` placements,
+    writing ``2*n_c`` words.  Returns at once, writing and counting nothing,
+    when there is no idle (``n_c == 0``) or the pass deferred nothing
+    (``n_d_prime == 0``): every payload behind the records is then in range,
+    so the clustering is the identity.  Every word must be below ``2**w``,
+    which the sort entry points validate; the tag ``2**(w-1)`` is then the
+    word's top bit.
     """
-    if tally.n_c == 0:
+    if tally.n_c == 0 or tally.n_d_prime == 0:
         return
     tag = spec.tag_mask
     vmask = spec.value_mask
@@ -493,6 +518,7 @@ def retrieve_sorted(
     wm1 = spec.w - 1
     tag = spec.tag_mask
     vmask = spec.value_mask
+    bits = _BITS
     base = region.offset
     delta = region.delta
 
@@ -514,7 +540,7 @@ def retrieve_sorted(
         vbase = (i - base) * wm1 + delta
         while rec:
             k = rec.bit_length() - 1
-            rec ^= 1 << k
+            rec ^= bits[k]
             p -= 1
             # Formed inline rather than in locals, so no int outlives its
             # write and the pass's peak memory stays flat.

@@ -347,6 +347,26 @@ class TestBench:
         records = load_csv(csv_path)
         assert len(records) == 2  # one row per beta
 
+    def test_row_does_not_depend_on_the_rest_of_the_table(self, tmp_path):
+        # Every dataset takes --seed itself, so uniform's row reads the same
+        # alone and behind best_case.
+        rows = {}
+        for families in ("uniform", "best_case,uniform"):
+            csv_path = tmp_path / f"{families}.csv"
+            code = run_cli(
+                [
+                    "bench",
+                    "--csv", str(csv_path),
+                    "--families", families,
+                    "--n", "1024",
+                    "--word-bits", "32",
+                ]
+            )
+            assert code == 0
+            rows[families] = [r for r in load_csv(csv_path) if r.family == "uniform"]
+        assert rows["uniform"] == rows["best_case,uniform"]
+        assert [(r.m, r.words_scanned, r.seed) for r in rows["uniform"]] == [(63475, 3578, 0)]
+
     def test_infeasible_suite_fails_cleanly(self, tmp_path, capsys):
         code = run_cli(
             [

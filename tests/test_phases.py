@@ -57,6 +57,19 @@ class TestPractice:
         assert tally == PassTally(1, 0, 0, None)
         assert data == [TAG | 1]
 
+    def test_one_value_nodes_are_the_spec_table_words(self):
+        # At w=64 a node word lies far above CPython's cached small ints, so
+        # ``is`` tells the spec's shared word from an equal int built per node.
+        spec = WordSpec(64)
+        wm1 = spec.w - 1
+        bits = [(5 * j + 3) % wm1 for j in range(8)]
+        data = [j * wm1 + k for j, k in enumerate(bits)][::-1]
+        tally = practice_pass(data, Region(0, len(data), 0), spec)
+        assert tally == PassTally(8, 0, 0, None)
+        assert spec.tagged == tuple(spec.tag_mask | 1 << k for k in range(wm1))
+        for j, k in enumerate(bits):
+            assert data[j] is spec.tagged[k], j
+
     def test_out_of_range_counted(self):
         data = [0, 100]  # interval is [0, 14) at n=2, so 100 defers
         tally = practice_pass(data, Region(0, 2, 0), W8)
@@ -224,13 +237,19 @@ class TestPartition:
         partition_idles(data, region, tally, W8, work)
         assert data.writes == work.written == 0
 
-    def test_no_deferred_means_self_swaps_only(self):
+    def test_no_deferred_writes_nothing(self):
+        # Every payload behind the records is in range, so clustering them
+        # is the identity and the phase returns before its sweep.
         data = [9, 2, 0, 11]
         region = Region(0, 4, 0)
         tally = practice_pass(data, region, W8)
         store_records(data, region, tally.n_d, W8)
+        assert tally.n_c == 2 and tally.n_d_prime == 0
+        data = CountingList(data)
         snapshot = list(data)
-        partition_idles(data, region, tally, W8)
+        work = WorkCounter()
+        partition_idles(data, region, tally, W8, work)
+        assert data.writes == work.written == 0
         assert data == snapshot
 
     def test_payload_set_preserved(self):
