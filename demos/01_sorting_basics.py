@@ -21,9 +21,9 @@ from assocsort import WordSpec, sort
 # value range in place until each bucket is narrow enough for the passes.
 # Because of the tag bit, the first bucket holding values at or above 2**15
 # shifts the unsorted rest down once, and the sort shifts it back at the end.
-# A bucket of at most 8 words too spread out for one pass is insertion-sorted
-# instead: it runs no pass, so the hook below does not see it.  Here that is
-# 40200 and 40260, which the pass over the 40xxx run defers.
+# A bucket of at most 8 words too spread out for one pass is finished by
+# sorted() instead: it runs no pass, so the hook below does not see it.  Here
+# that is 40200 and 40260, which the pass over the 40xxx run defers.
 word = WordSpec(16)
 data = [
     62_001, 61, 40_066, 40_000, 33_000, 9_999, 40_017, 40_042, 0, 40_200, 3,

@@ -5,9 +5,9 @@ Best-case inputs (range under (w-1)*n) sort in one pass.  Adversarial
 spacing forces one pass per value on ``sort_region``, the paper's loop,
 which runs every pass over the whole unsorted rest, about n**2/2 words,
 within the paper's 2*(n + m/(w-1)).  ``sort`` hands the rest back to its
-range splitter once it is too wide for its length, and insertion-sorts
-each bucket of at most 8 words that one pass cannot sort, so it takes a
-pass or two and scans linear work.  Uniform inputs with
+range splitter once it is too wide for its length, and finishes each
+bucket of at most 8 words that one pass cannot sort with ``sorted()``, so
+it takes a pass or two and scans linear work.  Uniform inputs with
 range multiplier beta shed a 1/beta fraction per pass, so total scan work
 stays within 2*beta*n.
 """

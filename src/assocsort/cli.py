@@ -134,8 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print word-level state after each phase of each pass",
         description=(
             "Print every word after each phase of each pass. A bucket of at most "
-            "8 words that one pass cannot sort is insertion-sorted without a pass, "
-            "so it prints no lines."
+            "8 words that one pass cannot sort is finished by sorted() without a "
+            "pass, so it prints no lines."
         ),
     )
     p_trace.set_defaults(run=_cmd_trace)

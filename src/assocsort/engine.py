@@ -24,13 +24,13 @@ single sweep that writes nothing.  The tag occupies bit ``w-1``, so
 :func:`sort_region` accepts values below ``2**(w-1)`` and runs the passes on
 the whole window.  :func:`sort` accepts ``[0, 2**w)`` and splits the value
 range in place, MSD-radix style: each step splits the current bucket, runs
-one pass on it, or insertion-sorts a bucket of at most 8 words that one
-pass cannot sort, and what a pass defers stays the current bucket, so a
-bucket the passes shrink too slowly goes back to the splitter.  A bucket
-that reaches the tag bit is shifted down while its passes run; each word
-is shifted back once a pass sorts it or the bucket leaves the passes, so
-only the current bucket ever holds shifted words.  The loop keeps no
-stack of pending buckets.
+one pass on it, or finishes a bucket of at most 8 words that one pass
+cannot sort with ``sorted()``, and what a pass defers stays the current
+bucket, so a bucket the passes shrink too slowly goes back to the
+splitter.  A bucket that reaches the tag bit is shifted down while its
+passes run; each word is shifted back once a pass sorts it or the bucket
+leaves the passes, so only the current bucket ever holds shifted words.
+The loop keeps no stack of pending buckets.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ HOST_BITS = 64
 # The record bits ``1 << k`` for every width: a pass reads a bit from here
 # instead of building one per value, since a record has at most 63 of them.
 _BITS = tuple(1 << k for k in range(HOST_BITS - 1))
-# A bucket of L <= 8 words that one pass cannot sort is insertion-sorted in
-# at most L*(L-1)/2 = 28 comparisons, less than the partition sweeps and
-# successor scans of splitting it or the pass per value its passes may take.
+# A bucket of L <= 8 words that one pass cannot sort is finished by
+# ``sorted()`` on a copy of at most 8 words, O(1) space, which costs less
+# than the partition sweeps and successor scans of splitting it or the pass
+# per value its passes may take.
 _SPLIT_FLOOR = 8
 
 __all__ = [
@@ -79,9 +80,10 @@ class DuplicateDetected(ValueError):
 
     ``value`` is the repeated value.  The sequence is left a permutation of
     its input: :func:`practice_pass` decodes its nodes before raising, the
-    insertion sort that finishes a short bucket writes its held value back,
-    and ``sort`` shifts its current bucket back.  The sort gives the same
-    guarantee for an exception a hook raises (see :class:`PhaseEvent`).
+    finisher of a short bucket raises before it writes, so that bucket keeps
+    its input order, and ``sort`` shifts its current bucket back.  The sort
+    gives the same guarantee for an exception a hook raises (see
+    :class:`PhaseEvent`).
     """
 
     def __init__(self, value: int) -> None:
@@ -200,13 +202,14 @@ class PassTally(NamedTuple):
 class SortReport:
     """Running totals for one sort call.
 
-    ``pass_count`` passes ran; with the buckets ``sort`` insertion-sorts
-    they appended ``total_sorted`` words to the sorted prefix.
+    ``pass_count`` passes ran; with the buckets ``sort`` finishes with
+    ``sorted()`` they appended ``total_sorted`` words to the sorted prefix.
     ``words_scanned`` counts words examined to classify or route values:
     the validation sweep, the splitter's partition sweeps and bucket scans,
-    every cursor step of each pass's practice sweep and every comparison of
-    the insertion sort.  ``words_written`` counts every word mutation, the
-    splitter's swaps and shifts and the insertion sort's moves included.
+    every cursor step of each pass's practice sweep and the L words of each
+    finished bucket.  ``words_written`` counts every word mutation, the
+    splitter's swaps and shifts and the L words each finished bucket writes
+    back included.
     The sort loop keeps these totals in locals and in the one WorkCounter
     it adds every sweep, phase and shift to, and builds the report once, at
     the end.  Per-pass tallies reach callers only through
@@ -227,9 +230,9 @@ class PhaseEvent:
     ``phase`` is one of ``practice``, ``store``, ``partition`` or
     ``retrieve``; every pass, a one-word pass included, emits all four in
     that order, each with the pass's tally.  A bucket that ``sort``
-    insertion-sorts runs no pass and emits no event, and the pass indices
-    skip nothing for it.  Events are built only for a sort that was given a
-    hook.
+    finishes with ``sorted()`` runs no pass and emits no event, and the
+    pass indices skip nothing for it.  Events are built only for a sort
+    that was given a hook.
     ``data`` is the live backing sequence; hooks must treat it as read-only.
     ``bias`` is the shift of the pass's bucket: the passes on a ``sort``
     bucket that reaches ``2**(w-1)`` run on its values less the smaller of
@@ -377,8 +380,7 @@ def practice_pass(
     if work is not None:
         work.scanned += n + rescans
         work.written += n_c + 2 * n_d
-    # tuple.__new__ skips the named tuple's Python-level __new__.
-    return tuple.__new__(PassTally, (n_d, n_c, n_out, delta_next if n_out else None))
+    return PassTally(n_d, n_c, n_out, delta_next if n_out else None)
 
 
 def _undo_practice(
@@ -461,14 +463,14 @@ def partition_idles(
     stay put; a payload is deferred iff its hash quotient reaches the region
     length, that is iff it is at least ``delta + (w-1)*length``, a bound
     formed once per call.  Terminates after exactly ``n_c`` placements,
-    writing ``2*n_c`` words.  Returns at once, writing and counting nothing,
-    when there is no idle (``n_c == 0``) or the pass deferred nothing
+    writing ``2*n_c`` words, none when there is no idle.  Returns at once,
+    writing and counting nothing, when the pass deferred nothing
     (``n_d_prime == 0``): every payload behind the records is then in range,
     so the clustering is the identity.  Every word must be below ``2**w``,
     which the sort entry points validate; the tag ``2**(w-1)`` is then the
     word's top bit.
     """
-    if tally.n_c == 0 or tally.n_d_prime == 0:
+    if tally.n_d_prime == 0:
         return
     tag = spec.tag_mask
     vmask = spec.value_mask
@@ -691,37 +693,6 @@ def _split_low(
     return i, low_max, swaps
 
 
-def _insertion_sort(
-    data: MutableSequence[int], start: int, stop: int, work: WorkCounter
-) -> None:
-    """Insertion-sort ``data[start:stop]`` in place on the raw words.
-
-    Each comparison adds one scanned word and each element write one written
-    word.  Raises DuplicateDetected on equal neighbours after writing the
-    held value back into its hole, so the slice stays a permutation.
-    """
-    scanned = written = 0
-    for i in range(start + 1, stop):
-        v = data[i]
-        j = i
-        while j > start:
-            u = data[j - 1]
-            scanned += 1
-            if u < v:
-                break
-            if u == v:
-                data[j] = v
-                raise DuplicateDetected(v)
-            data[j] = u
-            written += 1
-            j -= 1
-        if j < i:
-            data[j] = v
-            written += 1
-    work.scanned += scanned
-    work.written += written
-
-
 def _shift(data: MutableSequence[int], start: int, stop: int, delta: int) -> None:
     """Add ``delta`` to every word of ``data[start:stop]``."""
     for idx in range(start, stop):
@@ -771,17 +742,19 @@ def _sort(
     ``lo`` and ``hi``; each step splits the bucket, runs one pass on it or
     finishes it.  ``sort_region`` never splits or finishes.  ``sort``
     finishes a bucket of length L <= 8 spanning at least ``(w-1)*L``, which
-    no single pass can sort: :func:`_insertion_sort` sorts it in place on
-    the raw words, needing no shift, and the bucket is empty.  It runs no
-    pass and calls no hook.  Otherwise ``sort`` splits a bucket spanning at
-    least ``2**(w-1)``, or spanning at least ``(w-1)*L**2`` when L exceeds
-    8, with :func:`_split_low` and goes on with its low side, since below
-    that span the passes cost no more than one pass per value; the tag
-    clause holds at any length, since after the shift a pass needs every
-    word below the tag.  A pass moves its sorted words out of the bucket
-    and leaves the deferred rest as the current bucket, ``lo`` its deferred
-    minimum, so the same rule decides whether to pass again, split or
-    finish.  When a pass or the finisher empties its bucket, the next turn
+    no single pass can sort: ``sorted()`` orders a copy of its raw words,
+    read by index like every other access, needing no shift, a neighbour
+    check raises DuplicateDetected before any write, and the ordered words
+    are written back, L scanned and L written; the bucket is then empty.  It
+    runs no pass and calls no hook.  Otherwise ``sort`` splits a bucket
+    spanning at least ``2**(w-1)``, or spanning at least ``(w-1)*L**2``
+    when L exceeds 8, with :func:`_split_low` and goes on with its low
+    side, since below that span the passes cost no more than one pass per
+    value; the tag clause holds at any length, since after the shift a pass
+    needs every word below the tag.  A pass moves its sorted words out of
+    the bucket and leaves the deferred rest as the current bucket, ``lo``
+    its deferred minimum, so the same rule decides whether to pass again,
+    split or finish.  When a pass or the finisher empties its bucket, the next turn
     of the loop finds the successor with :func:`_next_bucket`, before it
     tests for a split.  A remainder lies inside its bucket, so splitting it
     keeps that scan's rule true.
@@ -839,8 +812,15 @@ def _sort(
                 work.written += size
                 bias = 0
             if finish:
-                _insertion_sort(data, pos, stop, work)
-                pos = stop
+                ordered = sorted(map(data.__getitem__, range(pos, stop)))
+                for a, b in zip(ordered, ordered[1:]):
+                    if a == b:
+                        raise DuplicateDetected(a)
+                for v in ordered:
+                    data[pos] = v
+                    pos += 1
+                work.scanned += size
+                work.written += size
                 continue
             if cut:
                 stop, hi, swaps = _split_low(data, pos, stop, lo, hi)
@@ -851,12 +831,11 @@ def _sort(
                 bias = min(lo, tag)
                 _shift(data, pos, stop, -bias)
                 work.written += size
-            # The indices are valid here, so skip Region's checking __new__.
             # Unshifted, the region takes lo itself, as lo - 0 would be a
             # copy; no local keeps the region, and its delta, past the pass.
             tally = run_pass(
                 data,
-                tuple.__new__(Region, (pos, size, lo - bias if bias else lo)),
+                Region(pos, size, lo - bias if bias else lo),
                 spec,
                 work,
                 hook,
@@ -876,9 +855,9 @@ def _sort(
             else:
                 lo = tally.delta_prime + bias
     except BaseException as exc:
-        # Practice decodes its nodes, the finisher refills its hole and
-        # run_pass finishes its pass before raising, so every shifted word
-        # is below the tag again and adding bias back fits in 2**w.
+        # Practice decodes its nodes, the finisher raises before it writes
+        # and run_pass finishes its pass before raising, so every shifted
+        # word is below the tag again and adding bias back fits in 2**w.
         _shift(data, pos, stop, bias)
         if isinstance(exc, DuplicateDetected):
             raise DuplicateDetected(exc.value + bias) from None
@@ -928,10 +907,11 @@ def sort(
     unsorted is split again once it is too wide for its length, so
     adversarially spaced values cost linear scan work, not a pass over the
     whole rest each.  A bucket of at most 8 words that one pass cannot sort
-    is insertion-sorted, with no pass and no hook event.  A bucket of values
-    at or above ``2**(w-1)`` is sorted shifted down, and each of its words
-    is shifted back once a pass sorts it or the bucket leaves the passes;
-    the report covers every bucket and sweep.  After
-    DuplicateDetected the sequence holds its input's values, unsorted.
+    is finished by ``sorted()``, with no pass and no hook event.  A bucket
+    of values at or above ``2**(w-1)`` is sorted shifted down, and each of
+    its words is shifted back once a pass sorts it or the bucket leaves the
+    passes; the report covers every bucket and sweep.  After
+    DuplicateDetected the sequence holds its input's values, unsorted; a
+    duplicate found in a finished bucket leaves that bucket in input order.
     """
     return _sort(data, spec, 0, len(data), hook, spec.universe)

@@ -454,8 +454,8 @@ class TestTrace:
         assert lines[retrieve_at + 1] == "  [8] tag=0 low=7232 output"
 
     def test_finished_bucket_prints_no_pass(self, tmp_path, capsys):
-        # Two words too far apart for one pass are insertion-sorted, so the
-        # hook sees no phase and the trace prints no pass line.
+        # Two words too far apart for one pass are finished by sorted(), so
+        # the hook sees no phase and the trace prints no pass line.
         src = tmp_path / "in.txt"
         src.write_text("40000\n7\n")
         code = run_cli(["trace", "--input", str(src), "--word-bits", "16"])

@@ -6,6 +6,7 @@ import pickle
 import random
 import tracemalloc
 from array import array
+from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings
@@ -195,6 +196,17 @@ class TestSortUniverse:
             sort([5, 9, 5], W8)
         assert info.value.value == 5
 
+    def test_duplicate_in_a_finished_bucket_keeps_the_input_order(self):
+        # Four words too far apart for one pass are finished by sorted(),
+        # which orders a copy: the duplicate is found before any write.
+        as_array = array("Q", [2**50, 7, 2**40, 7])
+        as_view = memoryview(bytearray(as_array.tobytes())).cast("Q")
+        for data in ([2**50, 7, 2**40, 7], as_array, as_view):
+            with pytest.raises(DuplicateDetected) as info:
+                sort(data)
+            assert info.value.value == 7
+            assert list(data) == [2**50, 7, 2**40, 7]
+
     def test_empty_and_singleton(self):
         assert sort([], W8).pass_count == 0
         data = [77]
@@ -203,8 +215,8 @@ class TestSortUniverse:
 
     def test_hook_does_not_change_result(self):
         # Nine words split on the tag bit: the low seven take one pass, and
-        # the pair 130, 200 is too far apart for one, so it is insertion-
-        # sorted and the hook sees no second pass.
+        # the pair 130, 200 is too far apart for one, so sorted() finishes
+        # it and the hook sees no second pass.
         values = [9, 2, 0, 11, 200, 130, 5, 7, 3]
         quiet = list(values)
         hooked = list(values)
@@ -256,7 +268,7 @@ class TestReportTotals:
     def test_words_written_counts_every_element_write(self):
         # The phases add closed forms of their tallies, not per-word counts;
         # a list that counts its own writes checks those forms end to end.
-        # Words no pass sorted were insertion-sorted, which counts its own.
+        # Words no pass sorted were finished by sorted() and written back once.
         split = multi_pass = finished = 0
         for trial in range(2000):
             word, ds = sample_case(trial)
@@ -364,6 +376,20 @@ def test_packed_words_sort_like_a_list(sorter):
     assert checked >= 100
 
 
+def test_index_only_sequence_sorts_like_a_list():
+    # A deque takes integer indexes but no slice.  The finisher reads its
+    # bucket by index like every other step, so a deque holding finished
+    # buckets sorts with a list's passes, counts and events.
+    word = WordSpec(64)
+    sparse = generate(DatasetSpec("full_universe", 60, 64, seed=0))
+    for values in ([2**50, 7], [2**50, 7, 2**40, 3], sparse):
+        as_list = list(values)
+        expected = _sorted_with_events(sort, as_list, word)
+        as_deque = deque(values)
+        assert _sorted_with_events(sort, as_deque, word) == expected
+        assert list(as_deque) == as_list == sorted(values)
+
+
 def _narrow_sequences(values):
     """Packed sequences whose items cannot hold every 64-bit word."""
     yield array("I", values)
@@ -425,9 +451,9 @@ def inputs_with_a_duplicate(draw) -> tuple[WordSpec, list[int], int]:
 
     Three shapes steer the duplicate to each place that can find it:
     ``finished`` is at most 8 words spread too wide for one pass, which
-    ``sort`` insertion-sorts; ``shifted`` is 9 to 16 values at or above
-    ``2**(w-1)`` inside one pass interval, practiced shifted down; and
-    ``unshifted`` is as many values below the tag, over one or two
+    ``sort`` finishes with ``sorted()``; ``shifted`` is 9 to 16 values at
+    or above ``2**(w-1)`` inside one pass interval, practiced shifted down;
+    and ``unshifted`` is as many values below the tag, over one or two
     intervals (9 at w=8, where two intervals of more would reach the tag).
     """
     word = WordSpec(draw(st.sampled_from((8, 16, 64))))
@@ -455,8 +481,8 @@ def inputs_with_a_duplicate(draw) -> tuple[WordSpec, list[int], int]:
 @given(case=inputs_with_a_duplicate())
 def test_duplicate_leaves_the_input_values(case):
     # After DuplicateDetected the sequence is a permutation of its input:
-    # practice decodes its nodes, the finisher refills its hole and the
-    # sort shifts its bucket back.
+    # practice decodes its nodes, the finisher raises before it writes and
+    # the sort shifts its bucket back.
     word, values, copy = case
     sorters = [sort] if max(values) >= word.tag_mask else [sort, sort_region]
     for sorter in sorters:

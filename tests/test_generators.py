@@ -69,7 +69,8 @@ class TestAdversarial:
 
     def test_one_pass_per_value(self):
         # The paper's loop, sort_region, sorts one value per pass.  sort()
-        # insertion-sorts these four words, for one pass cannot hold them.
+        # finishes these four words with sorted(), for one pass cannot hold
+        # them.
         data = gen_adversarial(4, W16)
         sorted_counts = []
 

@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py`` wraps the four phase functions by module-global
 name and reads each call's ``WorkCounter`` deltas (a bucket that ``sort``
-insertion-sorts calls none of them), and times the CLI's
+finishes with ``sorted()`` calls none of them), and times the CLI's
 ``read_list``, ``sort`` and ``write_list`` the same way.  These tests load
 it by path, as the benchmark does not ship in the package, and check that
 its per-phase totals still account for the whole ``SortReport`` and that
@@ -38,13 +38,13 @@ def _load_tracing():
         # one value per pass of the paper's loop, all below the tag: after
         # the second pass the remainder's span reaches (w-1)*L**2 and it
         # goes back to the splitter; its partition sweeps and bucket scans
-        # and the comparisons that insertion-sort its buckets of at most 8
+        # and the L words the finisher scans in each bucket of at most 8
         # words are pinned here
-        (gen_adversarial(16, WordSpec(16)), WordSpec(16), False, 2, 33),
+        (gen_adversarial(16, WordSpec(16)), WordSpec(16), False, 2, 35),
         # values on both sides of 2**63, sparse_universe's shape at another
         # seed: the range splitter runs first, and its sweeps and scans and
-        # the finisher's comparisons are pinned for this fixed input
-        (generate(DatasetSpec("full_universe", 4096, 64, seed=3)), WordSpec(64), True, 5, 66_525),
+        # the finisher's L words per bucket are pinned for this fixed input
+        (generate(DatasetSpec("full_universe", 4096, 64, seed=3)), WordSpec(64), True, 5, 63_268),
     ],
     ids=["no_split", "tag_split"],
 )

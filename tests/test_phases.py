@@ -90,6 +90,17 @@ class TestPractice:
         with pytest.raises(DuplicateDetected):
             practice_pass([5, 5], Region(0, 2, 5), W8)
 
+    def test_undo_leaves_the_word_past_the_region(self):
+        # 21 is delta + (w-1)*n, the first value past the interval, so it is
+        # deferred, and the undo that follows the duplicate 1 must toggle no
+        # bit for it: its node index would be 3, the word past the region.
+        data = [21, 1, 1, 100]
+        with pytest.raises(DuplicateDetected) as info:
+            practice_pass(data, Region(0, 3, 0), W8)
+        assert info.value.value == 1
+        assert sorted(data[:3]) == [1, 1, 21]
+        assert data[3] == 100
+
     def test_value_below_delta_rejected_before_its_word_is_written(self):
         # 9 claims node 0; 3 lies below delta=5 and stops the pass at index 1,
         # which decodes node 0 back to 9.  Next, 10 claims node 0 and 11

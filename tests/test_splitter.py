@@ -2,8 +2,8 @@
 phases per pass, duplicate rejection and constant auxiliary space.
 
 ``sort`` partitions a bucket whose value span is too wide for the paper's
-passes on its highest differing bit, passes a narrow one, and
-insertion-sorts a bucket of at most 8 words that one pass cannot sort;
+passes on its highest differing bit, passes a narrow one, and finishes
+a bucket of at most 8 words that one pass cannot sort with ``sorted()``;
 what a pass leaves is the bucket again, so it may be split next.  The
 inputs here are the ones that split: sparse values over the whole
 universe, clustered runs spread across it, values straddling the tag bit
@@ -119,14 +119,15 @@ def test_adversarial_input_scans_linear_work():
     # One value per pass on sort_region: running every pass over the whole
     # rest would scan about n**2/2 words (525,824 here).  After two passes
     # the rest spans more than (w-1)*L**2 and goes back to the splitter,
-    # whose buckets of at most 8 words are insertion-sorted.
+    # whose buckets of at most 8 words are finished by sorted(), scanning
+    # L words each.
     word = WordSpec(64)
     n = 1024
     values = gen_adversarial(n, word)
     buf = list(values)
     report = sort(buf, word)
     assert buf == sorted(values)
-    assert (report.pass_count, report.words_scanned) == (2, 14_839)
+    assert (report.pass_count, report.words_scanned) == (2, 14_980)
     assert report.words_scanned <= (2 * word.w + 4) * n
     random.Random(n).shuffle(values)
     report = sort(values, word)
@@ -156,7 +157,7 @@ def _split_calls(monkeypatch, values: list[int], word: WordSpec) -> int:
 def test_short_sparse_bucket_is_passed_not_split(monkeypatch, seed):
     # All values lie below the tag, so only the span clause can split, and
     # it applies to buckets of more than 8 words: 8 values spanning more
-    # than 63*8**2 reach no split, for they are insertion-sorted, and 9
+    # than 63*8**2 reach no split, for sorted() finishes them, and 9
     # spanning more than 63*9**2 do.
     word = WordSpec(64)
     rng = random.Random(seed)
@@ -172,7 +173,7 @@ def test_tag_clause_splits_a_short_bucket(monkeypatch):
     # After the bias shift a pass needs every word below the tag.  At w=4
     # four words straddling 2**3 fit one interval of 12 yet span 9 >= 2**3,
     # so they are still split.  Two words on both sides of 2**63 are too
-    # far apart for one pass and are insertion-sorted, with no split.
+    # far apart for one pass and are finished by sorted(), with no split.
     assert _split_calls(monkeypatch, [9, 2, 1, 0], WordSpec(4)) == 1
     word = WordSpec(64)
     assert _split_calls(monkeypatch, [word.tag_mask + 5, 1], word) == 0
@@ -195,14 +196,14 @@ def test_narrow_straddling_input_takes_one_pass(w):
 
 
 @pytest.mark.parametrize(
-    ("descending", "written"), ((False, 8_200), (True, 12_292))
+    ("descending", "written"), ((False, 12_294), (True, 16_386))
 )
 def test_adversarial_above_the_tag_is_shifted_once(descending, written):
     # Each word is shifted down once and back once: 2*4,096 shift writes
     # (the bucket down before its first pass, each pass's one word back
     # after it, the rest back before the splitter takes it), plus the two
-    # one-word passes' 8 and, descending, the splitter's swaps and the
-    # finisher's moves.
+    # one-word passes' 8, the finisher's L words per bucket (4,094 in all)
+    # and, descending, the splitter's swaps.
     word = WordSpec(64)
     values = [word.tag_mask + v for v in gen_adversarial(4096, word)]
     if descending:
@@ -211,7 +212,7 @@ def test_adversarial_above_the_tag_is_shifted_once(descending, written):
     report = sort(buf, word)
     assert buf == sorted(values)
     assert report.pass_count == 2
-    assert report.words_scanned == 71_680
+    assert report.words_scanned == 72_247
     assert report.words_written == written
 
 
