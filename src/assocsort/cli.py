@@ -12,8 +12,11 @@ stderr, so sorted output is pipeline-safe.  Exit statuses: 0 success,
 process may run on two or more CPUs and ``os.fork`` exists, sorts on two
 of them.  It splits the words once on the top bit where their minimum and
 maximum differ, with the engine's own splitter, forks one worker for the
-high side and sorts the low side itself; the worker sends its sorted words
-back through a pipe.  Text input sorts in one process: it is a ``list``,
+high side and sorts the low side itself; the worker sends a two-word
+header, its status and then its passes or the duplicate value, and its
+sorted words back through a pipe.  The summary line on stderr gives the
+passes of every side and, as ``nanos``, the wall time of the sort step,
+on one process or two.  Text input sorts in one process: it is a ``list``,
 which can be neither shared with a worker nor windowed without a copy.
 The library never forks; the CLI owns its process, and reaps its worker
 on every path.
@@ -37,7 +40,6 @@ from .engine import (
     CorruptState,
     DuplicateDetected,
     PhaseEvent,
-    SortReport,
     WordSpec,
     _split_low,
     compute_hash,
@@ -57,8 +59,8 @@ TRACE_WARN_SIZE = 256
 # at 2^16 (bimodal: 2 of 9 pairs 0.65-0.70x), 0.69x at 2^17, 0.63x at 2^18.
 _FORK_FLOOR = 1 << 17
 # What the worker writes ahead of its words: status (0 sorted, 1 duplicate),
-# passes, total sorted, words scanned, words written, the duplicate value.
-_HEADER = struct.Struct("6Q")
+# then its passes or the duplicate value.
+_HEADER = struct.Struct("2Q")
 
 # Every input error the library raises (ParseError, ValueExceedsUniverse,
 # DuplicateDetected, InfeasibleRange, bad argument values) is a ValueError.
@@ -161,18 +163,16 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sort_values(values: MutableSequence[int], spec: WordSpec) -> SortReport:
-    """``sort(values, spec)``, on two CPUs for a large binary input.
+def _sort_values(values: MutableSequence[int], spec: WordSpec) -> int:
+    """``sort(values, spec)``, on two CPUs for a large binary input; return the passes.
 
     An ``array`` of at least ``_FORK_FLOOR`` words, on a host with
     ``os.fork`` and two CPUs for this process, whose values fit the word
     and are not all equal, is split once with the engine's splitter; the
     low side is sorted here and the high side in a forked worker, each by
-    ``sort``.  Anything else goes to ``sort`` unchanged, which raises
-    before writing when a value does not fit or all values are equal.
-    The report sums the two sides' passes, sorted words and work, plus
-    ``2n`` scanned words (the bounds sweep and the split) and the split's
-    ``2*swaps`` written; ``elapsed_ns`` is the whole wall time.
+    ``sort``, and the passes are the two sides' own.  Anything else goes to
+    ``sort`` unchanged, which raises before writing when a value does not
+    fit or all values are equal.
     """
     if not (
         isinstance(values, array)
@@ -180,12 +180,11 @@ def _sort_values(values: MutableSequence[int], spec: WordSpec) -> SortReport:
         and hasattr(os, "fork")
         and _cpus() >= 2
     ):
-        return sort(values, spec)
-    started = time.perf_counter_ns()
+        return sort(values, spec).pass_count
     lo, hi = min(values), max(values)
     if hi >= spec.universe or lo == hi:
-        return sort(values, spec)
-    k, _, swaps = _split_low(values, 0, len(values), lo, hi)
+        return sort(values, spec).pass_count
+    k, _, _ = _split_low(values, 0, len(values), lo, hi)
     with memoryview(values) as words, words[:k] as low, words[k:] as high:
         read_fd, write_fd = os.pipe()
         pid = os.fork()
@@ -196,17 +195,10 @@ def _sort_values(values: MutableSequence[int], spec: WordSpec) -> SortReport:
             # Closed before the worker is reaped, so a worker still sorting
             # when this side fails ends at its first write, on EPIPE.
             with open(read_fd, "rb") as pipe:
-                mine = sort(low, spec)
-                theirs = _receive(pipe, high)
+                passes = sort(low, spec).pass_count
+                return passes + _receive(pipe, high)
         finally:
             os.waitpid(pid, 0)
-    return SortReport(
-        mine.pass_count + theirs.pass_count,
-        mine.total_sorted + theirs.total_sorted,
-        2 * len(values) + mine.words_scanned + theirs.words_scanned,
-        2 * swaps + mine.words_written + theirs.words_written,
-        time.perf_counter_ns() - started,
-    )
 
 
 def _sort_in_worker(high: memoryview, spec: WordSpec, read_fd: int, write_fd: int) -> NoReturn:
@@ -222,53 +214,43 @@ def _sort_in_worker(high: memoryview, spec: WordSpec, read_fd: int, write_fd: in
         os.close(read_fd)
         with open(write_fd, "wb") as pipe:
             try:
-                report = sort(high, spec)
+                passes = sort(high, spec).pass_count
             except DuplicateDetected as exc:
-                pipe.write(_HEADER.pack(1, 0, 0, 0, 0, exc.value))
+                pipe.write(_HEADER.pack(1, exc.value))
             else:
-                pipe.write(
-                    _HEADER.pack(
-                        0,
-                        report.pass_count,
-                        report.total_sorted,
-                        report.words_scanned,
-                        report.words_written,
-                        0,
-                    )
-                )
+                pipe.write(_HEADER.pack(0, passes))
                 pipe.write(high)
         code = 0
     finally:
         os._exit(code)
 
 
-def _receive(pipe: IO[bytes], high: memoryview) -> SortReport:
-    """Read the worker's header, then its sorted words into ``high``; return its report."""
+def _receive(pipe: IO[bytes], high: memoryview) -> int:
+    """Read the worker's header, then its sorted words into ``high``; return its passes."""
     head = pipe.read(_HEADER.size)
     if len(head) != _HEADER.size:
         raise CorruptState(f"sort worker sent {len(head)} of {_HEADER.size} header bytes")
-    status, passes, total, scanned, written, value = _HEADER.unpack(head)
+    status, word = _HEADER.unpack(head)
     if status:
-        raise DuplicateDetected(value)
+        raise DuplicateDetected(word)
     with high.cast("B") as raw:
         got = pipe.readinto(raw)
     if got != high.nbytes:
         raise CorruptState(f"sort worker sent {got} of {high.nbytes} bytes")
-    return SortReport(passes, total, scanned, written)
+    return word
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     values = _read_values(args)
-    report = _sort_values(values, args.word)
+    started = time.perf_counter_ns()
+    passes = _sort_values(values, args.word)
+    nanos = time.perf_counter_ns() - started
     dest = args.output
     if dest == "-":
         dest = sys.stdout if args.format == "text" else sys.stdout.buffer
     write_list(values, dest, args.format)
     sys.stdout.flush()
-    print(
-        f"n={len(values)} passes={report.pass_count} nanos={report.elapsed_ns}",
-        file=sys.stderr,
-    )
+    print(f"n={len(values)} passes={passes} nanos={nanos}", file=sys.stderr)
     return 0
 
 

@@ -232,7 +232,7 @@ class PhaseEvent:
     that order, each with the pass's tally.  A bucket that ``sort``
     finishes with ``sorted()`` runs no pass and emits no event, and the
     pass indices skip nothing for it.  Events are built only for a sort
-    that was given a hook.
+    that was given a hook, and only until that hook raises.
     ``data`` is the live backing sequence; hooks must treat it as read-only.
     ``bias`` is the shift of the pass's bucket: the passes on a ``sort``
     bucket that reaches ``2**(w-1)`` run on its values less the smaller of
@@ -572,42 +572,30 @@ def run_pass(
     practiced interval in ascending order and the deferred values follow,
     untagged.  ``region.delta`` may sit below the region minimum, which
     shifts where the nodes land.  ``hook``, when given, sees a PhaseEvent
-    numbered ``index`` and carrying ``bias`` after each phase; without a
-    hook no event is built.  When the hook raises, it is not called again:
-    the remaining phases run, and the first exception is raised once
+    numbered ``index`` and carrying ``bias`` after each phase, built and
+    passed at one call site; without a hook no event is built.  Once the
+    hook raises, no event is built and the hook is not called again: the
+    remaining phases run, and that first exception is raised once
     retrieval has left the region untagged.
     """
-    tally = practice_pass(data, region, spec, work)
-    if hook is not None:
-        error = _call_hook(hook, PhaseEvent("practice", index, region, tally, data, bias), None)
-    store_records(data, region, tally.n_d, spec, work)
-    if hook is not None:
-        error = _call_hook(hook, PhaseEvent("store", index, region, tally, data, bias), error)
-    partition_idles(data, region, tally, spec, work)
-    if hook is not None:
-        error = _call_hook(hook, PhaseEvent("partition", index, region, tally, data, bias), error)
-    retrieve_sorted(data, region, tally, spec, work)
-    if hook is not None:
-        error = _call_hook(hook, PhaseEvent("retrieve", index, region, tally, data, bias), error)
-        if error is not None:
-            raise error
+    error = None
+    for phase in ("practice", "store", "partition", "retrieve"):
+        if phase == "practice":
+            tally = practice_pass(data, region, spec, work)
+        elif phase == "store":
+            store_records(data, region, tally.n_d, spec, work)
+        elif phase == "partition":
+            partition_idles(data, region, tally, spec, work)
+        else:
+            retrieve_sorted(data, region, tally, spec, work)
+        if hook is not None and error is None:
+            try:
+                hook(PhaseEvent(phase, index, region, tally, data, bias))
+            except BaseException as exc:  # re-raised below, once the pass is whole
+                error = exc
+    if error is not None:
+        raise error
     return tally
-
-
-def _call_hook(
-    hook: PhaseHook, event: PhaseEvent, error: BaseException | None
-) -> BaseException | None:
-    """Call ``hook`` with ``event`` unless an earlier call raised; return the first exception.
-
-    ``run_pass`` re-raises it once the pass is whole, so a raising hook
-    never leaves records apart from their tags.
-    """
-    if error is None:
-        try:
-            hook(event)
-        except BaseException as exc:  # re-raised by run_pass after retrieval
-            return exc
-    return error
 
 
 def _check_item_width(data: MutableSequence[int], w: int) -> None:
@@ -739,37 +727,40 @@ def _sort(
     """Validate ``data[offset:offset+length]`` against ``limit``, then sort it.
 
     One loop owns the current bucket ``data[pos:stop]`` and its bounds
-    ``lo`` and ``hi``; each step splits the bucket, runs one pass on it or
-    finishes it.  ``sort_region`` never splits or finishes.  ``sort``
-    finishes a bucket of length L <= 8 spanning at least ``(w-1)*L``, which
-    no single pass can sort: ``sorted()`` orders a copy of its raw words,
-    read by index like every other access, needing no shift, a neighbour
-    check raises DuplicateDetected before any write, and the ordered words
-    are written back, L scanned and L written; the bucket is then empty.  It
-    runs no pass and calls no hook.  Otherwise ``sort`` splits a bucket
-    spanning at least ``2**(w-1)``, or spanning at least ``(w-1)*L**2``
-    when L exceeds 8, with :func:`_split_low` and goes on with its low
-    side, since below that span the passes cost no more than one pass per
-    value; the tag clause holds at any length, since after the shift a pass
-    needs every word below the tag.  A pass moves its sorted words out of
-    the bucket and leaves the deferred rest as the current bucket, ``lo``
-    its deferred minimum, so the same rule decides whether to pass again,
-    split or finish.  When a pass or the finisher empties its bucket, the next turn
-    of the loop finds the successor with :func:`_next_bucket`, before it
-    tests for a split.  A remainder lies inside its bucket, so splitting it
-    keeps that scan's rule true.
+    ``lo`` and ``hi``; each step runs one pass on the bucket or, in ``sort``
+    only, takes the one branch in which the bucket leaves the passes.  A
+    bucket of L words leaves when its span reaches ``2**(w-1)``, or
+    ``(w-1)*L`` when L <= 8, or ``(w-1)*L**2`` when L exceeds 8: one pass
+    cannot sort a short bucket that wide, and below the long bucket's span
+    the passes cost no more than one pass per value; the tag clause holds
+    at any length, since after the shift a pass needs every word below the
+    tag.  The branch shifts the bucket back if it is shifted.  A bucket of
+    L <= 8 spanning at least ``(w-1)*L`` is then finished: ``sorted()``
+    orders a copy of its raw words, read by index like every other access,
+    a neighbour check raises DuplicateDetected before any write, and the
+    ordered words are written back, L scanned and L written; the bucket is
+    then empty, and it runs no pass and calls no hook.  Any other bucket
+    that leaves, a long one or, at w <= 6, a short one the tag clause
+    alone sends, is split with :func:`_split_low`, and the loop goes on
+    with its low side.  A pass moves its sorted words out of the bucket
+    and leaves the deferred rest as the current bucket, ``lo`` its
+    deferred minimum, so the same branch decides whether it leaves.  When
+    a pass or the finisher empties its bucket, the next turn of the loop
+    finds the successor with :func:`_next_bucket`, before that branch.  A
+    remainder lies inside its bucket, so splitting it keeps that scan's
+    rule true.
 
     A bucket with ``hi >= 2**(w-1)`` is shifted down by ``bias =
     min(lo, 2**(w-1))`` before its first pass.  The words each pass sorts
     are shifted back after it; the deferred rest stays shifted while the
-    passes go on, and is shifted back before it goes to the splitter or
-    the finisher.  So every word outside the current bucket holds its
-    input value, the splitter and the successor scan see input values
-    only, and a shifted word is written twice.  ``lo`` and ``hi`` stay in
-    input units; the pass's region starts at ``lo - bias``.  The shifted
-    words lie below the tag: if ``lo >= 2**(w-1)`` the shift clears bit
-    ``w-1``, and otherwise the bucket straddles the tag and spans less than
-    ``2**(w-1)``, or it would have been split.
+    passes go on, and is shifted back when it leaves them.  So every word
+    outside the current bucket holds its input value, the splitter and the
+    successor scan see input values only, and a shifted word is written
+    twice.  ``lo`` and ``hi`` stay in input units; the pass's region starts
+    at ``lo - bias``.  The shifted words lie below the tag: if ``lo >=
+    2**(w-1)`` the shift clears bit ``w-1``, and otherwise the bucket
+    straddles the tag and spans less than ``2**(w-1)``, or it would have
+    left the passes.
 
     The pass count stays in a local and the report is built once, at the
     end; its ``total_sorted`` is how far the sorted prefix advanced, every
@@ -801,31 +792,27 @@ def _sort(
             size = stop - pos
             # hi - lo is formed where it is compared, not kept: a kept span
             # is one more live int while the splitter or a pass runs.
-            finish = split and size <= _SPLIT_FLOOR and hi - lo >= wm1 * size
-            cut = (
-                split
-                and not finish
-                and (hi - lo >= tag or (size > _SPLIT_FLOOR and hi - lo >= wm1 * size * size))
-            )
-            if bias and (finish or cut):
-                _shift(data, pos, stop, bias)
-                work.written += size
-                bias = 0
-            if finish:
-                ordered = sorted(map(data.__getitem__, range(pos, stop)))
-                for a, b in zip(ordered, ordered[1:]):
-                    if a == b:
-                        raise DuplicateDetected(a)
-                for v in ordered:
-                    data[pos] = v
-                    pos += 1
+            if split and (
+                hi - lo >= tag
+                or hi - lo >= (wm1 * size * size if size > _SPLIT_FLOOR else wm1 * size)
+            ):
+                if bias:
+                    _shift(data, pos, stop, bias)
+                    work.written += size
+                    bias = 0
                 work.scanned += size
-                work.written += size
-                continue
-            if cut:
-                stop, hi, swaps = _split_low(data, pos, stop, lo, hi)
-                work.scanned += size
-                work.written += 2 * swaps
+                if size <= _SPLIT_FLOOR and hi - lo >= wm1 * size:
+                    ordered = sorted(map(data.__getitem__, range(pos, stop)))
+                    for a, b in zip(ordered, ordered[1:]):
+                        if a == b:
+                            raise DuplicateDetected(a)
+                    for v in ordered:
+                        data[pos] = v
+                        pos += 1
+                    work.written += size
+                else:
+                    stop, hi, swaps = _split_low(data, pos, stop, lo, hi)
+                    work.written += 2 * swaps
                 continue
             if hi >= tag and not bias:
                 bias = min(lo, tag)

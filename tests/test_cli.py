@@ -175,9 +175,19 @@ class TestTwoProcesses:
         assert f"n={self.N} passes=" in capsys.readouterr().err
         assert_no_child_left()
 
-    @pytest.mark.parametrize("side", ["low", "high"])
-    def test_duplicate_on_either_side(self, tmp_path, capsys, forks, side):
-        values = generate(DatasetSpec("best_case", self.N, 64, seed=12))
+    # full_universe's high side holds values of 2**63 and more, so its
+    # duplicate crosses the worker's header as a full 64-bit word.
+    @pytest.mark.parametrize(
+        ("family", "side"),
+        [
+            pytest.param("best_case", "low", id="low"),
+            pytest.param("best_case", "high", id="high"),
+            pytest.param("full_universe", "low", id="full_universe-low"),
+            pytest.param("full_universe", "high", id="full_universe-high"),
+        ],
+    )
+    def test_duplicate_on_either_side(self, tmp_path, capsys, forks, family, side):
+        values = generate(DatasetSpec(family, self.N, 64, seed=12))
         ordered = sorted(values)
         mid = split_point(values)
         k = sum(v < mid for v in values)  # the high side's first index

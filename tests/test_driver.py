@@ -252,6 +252,28 @@ def test_no_hook_builds_no_event(monkeypatch):
         assert report.total_sorted == len(values)
 
 
+def test_raising_hook_builds_one_event(monkeypatch):
+    # The hook raises at its first event; the pass still finishes, but no
+    # further event is built for a hook that will not be called again.
+    built = []
+    real = engine.PhaseEvent
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return real(*args, **kwargs)
+
+    def hook(event: PhaseEvent) -> None:
+        raise HookFailed
+
+    monkeypatch.setattr(engine, "PhaseEvent", counting)
+    values = [0, 100, 50]  # three passes at w=8
+    data = list(values)
+    with pytest.raises(HookFailed):
+        sort_region(data, W8, hook=hook)
+    assert built == ["practice"]
+    assert sorted(data) == sorted(values)
+
+
 class CountingList(list):
     """A list that counts element writes, to check ``words_written``."""
 

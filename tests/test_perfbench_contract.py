@@ -83,16 +83,17 @@ def test_cli_timers_see_every_call(tmp_path):
     assert timer.last_report.total_sorted == len(values)
 
 
-def test_two_process_summary_line(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_two_process_summary_line(tmp_path, capsys, monkeypatch, cpus):
     # perfbench reads the CLI child's sort time from its summary line; on a
-    # file large enough for two processes the line keeps its form, and its
-    # passes are the two sides' own.
+    # file large enough for two processes the line keeps its form on either
+    # path, and its passes are the two sides' own, or the one sort's.
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports tracing
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
     spec.loader.exec_module(run)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
     n = cli._FORK_FLOOR
     values = generate(DatasetSpec("best_case", n, 64, seed=2))
     src = tmp_path / "in.bin"
@@ -104,8 +105,11 @@ def test_two_process_summary_line(tmp_path, capsys, monkeypatch):
     assert run._nanos(err.encode()) > 0
     fields = dict(part.split("=", 1) for part in err.splitlines()[-1].split())
     words = array("Q", values)
-    k, _, _ = engine._split_low(words, 0, n, min(words), max(words))
-    with memoryview(words) as view, view[:k] as low, view[k:] as high:
-        passes = sort(low).pass_count + sort(high).pass_count
+    if cpus == 1:
+        passes = sort(words).pass_count
+    else:
+        k, _, _ = engine._split_low(words, 0, n, min(words), max(words))
+        with memoryview(words) as view, view[:k] as low, view[k:] as high:
+            passes = sort(low).pass_count + sort(high).pass_count
     assert int(fields["n"]) == n and int(fields["passes"]) == passes
     assert dst.read_bytes() == struct.pack(f"<{n}Q", *sorted(values))
