@@ -22,7 +22,7 @@ hold one 8-byte word per value.
 Both entry points share one loop, which first validates the input in a
 single sweep that writes nothing.  The tag occupies bit ``w-1``, so
 :func:`sort_region` accepts values below ``2**(w-1)`` and runs the passes on
-the whole window.  :func:`sort` accepts ``[0, 2**w)`` and splits the value
+the whole sequence.  :func:`sort` accepts ``[0, 2**w)`` and splits the value
 range in place, MSD-radix style: each step splits the current bucket, runs
 one pass on it, or finishes a bucket of at most 8 words that one pass
 cannot sort with ``sorted()``, and what a pass defers stays the current
@@ -419,23 +419,17 @@ def store_records(
 
     Only low bits move; every tag stays at its original index, so the r-th
     record from the left still belongs to the r-th tagged word from the left.
-    The run of tagged words at the region start already holds its records in
-    their slots and is skipped; each later record is swapped into place, so
-    the phase writes ``2*moved`` words for the ``moved`` records it swaps,
-    none on a one-value pass.  Contributes those writes to the work counter;
-    cursor steps of the shuffling phases are not scan work.
+    Every record is swapped into its slot from the region start, a record
+    already in its slot with itself, so the phase writes ``2*n_d`` words.
+    Contributes those writes to the work counter; cursor steps of the
+    shuffling phases are not scan work.
     Every word must be below ``2**w``, which the sort entry points validate,
     so a word is tagged exactly when it is at least ``2**(w-1)``.
     """
     tag = spec.tag_mask
     vmask = spec.value_mask
-    i = region.offset
+    i = j = region.offset
     k = n_d
-    while k and data[i] >= tag:
-        i += 1
-        k -= 1
-    j = i
-    moved = k
     while k:
         si = data[i]
         if si >= tag:
@@ -446,7 +440,7 @@ def store_records(
             k -= 1
         i += 1
     if work is not None:
-        work.written += 2 * moved
+        work.written += 2 * n_d
 
 
 def partition_idles(
@@ -627,16 +621,14 @@ def _check_item_width(data: MutableSequence[int], w: int) -> None:
         raise TypeError(f"items of typecode {code!r} cannot hold every {w}-bit word")
 
 
-def _validate_bounds(
-    data: MutableSequence[int], offset: int, length: int, limit: int
-) -> tuple[int, int]:
-    """Check every value of the window is an int in ``[0, limit)``.
+def _validate_bounds(data: MutableSequence[int], limit: int) -> tuple[int, int]:
+    """Check every value of ``data`` is an int in ``[0, limit)``.
 
-    One sweep; returns the window's ``(min, max)``, ``(limit, -1)`` when it
-    is empty.  Raises before any word is written.
+    One sweep; returns the sequence's ``(min, max)``, ``(limit, -1)`` when
+    it is empty.  Raises before any word is written.
     """
     lo, hi = limit, -1
-    for idx in range(offset, offset + length):
+    for idx in range(len(data)):
         v = data[idx]
         if type(v) is not int:
             raise TypeError(f"value {v!r} at index {idx} is not an int")
@@ -717,14 +709,9 @@ def _next_bucket(
 
 
 def _sort(
-    data: MutableSequence[int],
-    spec: WordSpec,
-    offset: int,
-    length: int,
-    hook: PhaseHook | None,
-    limit: int,
+    data: MutableSequence[int], spec: WordSpec, hook: PhaseHook | None, limit: int
 ) -> SortReport:
-    """Validate ``data[offset:offset+length]`` against ``limit``, then sort it.
+    """Validate ``data`` against ``limit``, then sort the whole sequence.
 
     One loop owns the current bucket ``data[pos:stop]`` and its bounds
     ``lo`` and ``hi``; each step runs one pass on the bucket or, in ``sort``
@@ -767,22 +754,25 @@ def _sort(
     pass's ``sorted_count`` plus every finished bucket.  On any exception
     the current bucket is shifted back before it propagates, and a
     DuplicateDetected is raised again with ``bias`` added to its value, so
-    it names the value in input units.  A duplicate, and a hook's
-    exception, which :func:`run_pass` holds until its pass is whole, leave
-    whole values behind, so the window then holds its input's values.  A
-    ``KeyboardInterrupt`` inside a phase is out of scope.
+    it names the value in input units.  ``bias`` is set only once the
+    down-shift has returned, so a sequence that refuses its first write
+    raises that one error, with no write tried on the way out.  A
+    duplicate, and a hook's exception, which :func:`run_pass` holds until
+    its pass is whole, leave whole values behind, so the sequence then
+    holds its input's values.  A ``KeyboardInterrupt`` inside a phase is
+    out of scope.
     """
     started = time.perf_counter_ns()
     work = WorkCounter()
     _check_item_width(data, spec.w)
-    lo, hi = _validate_bounds(data, offset, length, limit)
-    work.scanned += length
+    lo, hi = _validate_bounds(data, limit)
     tag = spec.tag_mask
     wm1 = spec.w - 1
     split = limit > tag
     passes = 0
-    pos = offset
-    stop = end = offset + length
+    pos = 0
+    stop = end = len(data)
+    work.scanned += end
     bias = 0
     try:
         while pos < end:
@@ -815,8 +805,8 @@ def _sort(
                     work.written += 2 * swaps
                 continue
             if hi >= tag and not bias:
+                _shift(data, pos, stop, -min(lo, tag))
                 bias = min(lo, tag)
-                _shift(data, pos, stop, -bias)
                 work.written += size
             # Unshifted, the region takes lo itself, as lo - 0 would be a
             # copy; no local keeps the region, and its delta, past the pass.
@@ -845,23 +835,18 @@ def _sort(
         # Practice decodes its nodes, the finisher raises before it writes
         # and run_pass finishes its pass before raising, so every shifted
         # word is below the tag again and adding bias back fits in 2**w.
-        _shift(data, pos, stop, bias)
+        if bias:
+            _shift(data, pos, stop, bias)
         if isinstance(exc, DuplicateDetected):
             raise DuplicateDetected(exc.value + bias) from None
         raise
-    return SortReport(
-        passes, pos - offset, work.scanned, work.written, time.perf_counter_ns() - started
-    )
+    return SortReport(passes, pos, work.scanned, work.written, time.perf_counter_ns() - started)
 
 
 def sort_region(
-    data: MutableSequence[int],
-    spec: WordSpec,
-    offset: int = 0,
-    length: int | None = None,
-    hook: PhaseHook | None = None,
+    data: MutableSequence[int], spec: WordSpec, *, hook: PhaseHook | None = None
 ) -> SortReport:
-    """Sort ``data[offset:offset+length]`` ascending in place.
+    """Sort the whole of ``data`` ascending in place, as :func:`sort` does.
 
     ``data`` may be a ``list``, an ``array("Q")`` or a ``memoryview`` cast
     to ``"Q"``; the passes index it and never resize it.  An ``array`` or
@@ -870,13 +855,10 @@ def sort_region(
     bit (``< 2**(w-1)``).  Runs as many passes as the value spread
     requires; each pass appends its interval to the sorted prefix, so after
     pass t the first ``sum(sorted_count)`` words are final.  After
-    DuplicateDetected the window holds its input's values, unsorted.
+    DuplicateDetected the sequence holds its input's values, unsorted.  To
+    sort a window of an ``array``, sort a ``memoryview`` slice of it.
     """
-    if length is None:
-        length = len(data) - offset
-    if offset < 0 or length < 0 or offset + length > len(data):
-        raise ValueError("region out of bounds")
-    return _sort(data, spec, offset, length, hook, spec.tag_mask)
+    return _sort(data, spec, hook, spec.tag_mask)
 
 
 def sort(
@@ -901,4 +883,4 @@ def sort(
     DuplicateDetected the sequence holds its input's values, unsorted; a
     duplicate found in a finished bucket leaves that bucket in input order.
     """
-    return _sort(data, spec, 0, len(data), hook, spec.universe)
+    return _sort(data, spec, hook, spec.universe)

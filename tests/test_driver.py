@@ -109,14 +109,16 @@ class TestSortRegion:
         with pytest.raises(ValueExceedsUniverse):
             sort_region([1, 200], W8)  # 200 has bit 7 set
 
-    def test_region_window(self):
-        data = [5, 4, 9, 2, 0, 11, 1]
-        sort_region(data, W8, offset=2, length=4)
-        assert data == [5, 4, 0, 2, 9, 11, 1]
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            sort_region([1, 2], W8, offset=1, length=5)
+    def test_window_is_a_memoryview_slice(self):
+        # The sort takes the whole sequence; a window of an array is sorted
+        # through a slice of its memoryview.  A window's offset passed where
+        # the hook used to follow it is refused at the call.
+        data = array("Q", [5, 4, 9, 2, 0, 11, 1])
+        sort_region(memoryview(data)[2:6], W8)
+        assert data.tolist() == [5, 4, 0, 2, 9, 11, 1]
+        with pytest.raises(TypeError):
+            sort_region(data, W8, 2)
+        assert data.tolist() == [5, 4, 0, 2, 9, 11, 1]
 
     @pytest.mark.parametrize("bad", [2.5, True])
     def test_rejects_non_int_before_writing(self, bad):
@@ -201,11 +203,13 @@ class TestSortUniverse:
         # which orders a copy: the duplicate is found before any write.
         as_array = array("Q", [2**50, 7, 2**40, 7])
         as_view = memoryview(bytearray(as_array.tobytes())).cast("Q")
-        for data in ([2**50, 7, 2**40, 7], as_array, as_view):
+        counted = CountingList([2**50, 7, 2**40, 7])
+        for data in (counted, as_array, as_view):
             with pytest.raises(DuplicateDetected) as info:
                 sort(data)
             assert info.value.value == 7
             assert list(data) == [2**50, 7, 2**40, 7]
+        assert counted.writes == 0
 
     def test_empty_and_singleton(self):
         assert sort([], W8).pass_count == 0
@@ -410,6 +414,23 @@ def test_index_only_sequence_sorts_like_a_list():
         as_deque = deque(values)
         assert _sorted_with_events(sort, as_deque, word) == expected
         assert list(as_deque) == as_list == sorted(values)
+
+
+@pytest.mark.parametrize(
+    ("sorter", "base"),
+    [(sort, 0), (sort, 2**63), (sort_region, 0)],
+    ids=["sort-low", "sort-high", "sort_region-low"],
+)
+def test_unwritable_sequence_raises_one_type_error(sorter, base):
+    # A tuple or a read-only memoryview refuses the first write, a pass's
+    # below the tag and the down-shift's above it.  That TypeError is the
+    # only one: nothing is shifted back, so no second write is tried.
+    values = [base + v for v in (9, 2, 0, 11, 300, 5)]
+    for data in (tuple(values), memoryview(array("Q", values).tobytes()).cast("Q")):
+        with pytest.raises(TypeError) as info:
+            sorter(data, WordSpec(64))
+        assert info.value.__context__ is None
+        assert list(data) == values
 
 
 def _narrow_sequences(values):

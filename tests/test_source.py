@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,33 @@ def test_no_unused_parameters(path):
         }
         unused += [f"{func.name}({name})" for name in _parameters(func) if name not in read]
     assert not unused, f"{path.name} has unused parameters: {unused}"
+
+
+def test_code_line_tool_skips_blank_comment_and_docstring_lines(tmp_path):
+    # Seven code lines: the docstrings, the comments and the blank lines
+    # are not code, and a string that is not a docstring counts every line.
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text(
+        '"""Module docstring,\n'
+        'on two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        '    s = """a\n'
+        'b"""\n'
+        "    return x  # a trailing comment\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "    y = 1\n"
+    )
+    tool = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    out = subprocess.run(
+        [sys.executable, str(tool), str(fixture)], capture_output=True, text=True, check=True
+    ).stdout
+    assert [line.split() for line in out.splitlines()] == [["7", str(fixture)], ["7", "total"]]

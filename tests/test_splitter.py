@@ -196,13 +196,13 @@ def test_narrow_straddling_input_takes_one_pass(w):
 
 
 @pytest.mark.parametrize(
-    ("descending", "written"), ((False, 12_294), (True, 16_386))
+    ("descending", "written"), ((False, 12_298), (True, 16_390))
 )
 def test_adversarial_above_the_tag_is_shifted_once(descending, written):
     # Each word is shifted down once and back once: 2*4,096 shift writes
     # (the bucket down before its first pass, each pass's one word back
     # after it, the rest back before the splitter takes it), plus the two
-    # one-word passes' 8, the finisher's L words per bucket (4,094 in all)
+    # one-word passes' 12, the finisher's L words per bucket (4,094 in all)
     # and, descending, the splitter's swaps.
     word = WordSpec(64)
     values = [word.tag_mask + v for v in gen_adversarial(4096, word)]
